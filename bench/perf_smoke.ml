@@ -87,17 +87,76 @@ let check_pattern pools name p =
                      simulate ok, probes clean\n"
         name
 
+(* Wall-clock claims are judged on interleaved A/B rounds: each round
+   times both sides once, alternating which goes first, so host drift
+   and background load land on both alike.  Rounds are added in blocks
+   until the two medians differ by more than the noise floor — the sum
+   of the sides' standard errors of the median, about 1.25 sigma /
+   sqrt n with sigma estimated as IQR / 1.35 — or the cap is reached;
+   then the claim is checked on the medians with its own threshold,
+   unchanged.  A failure prints both sides' quartiles and round count. *)
+type side = { label : string; run : unit -> unit }
+
+let quantile sorted q =
+  let last = float_of_int (Array.length sorted - 1) in
+  sorted.(int_of_float (Float.round (q *. last)))
+
+let quartiles samples =
+  let s = Array.of_list samples in
+  Array.sort compare s;
+  (quantile s 0.25, quantile s 0.5, quantile s 0.75)
+
+(* [claim ~factor a b] asserts factor * median(a) <= median(b) (strictly
+   less when [strict]). *)
+let claim ?(strict = false) ?(cap = 200) ~what ~factor a b =
+  let block = 10 in
+  a.run ();
+  b.run ();
+  let time side =
+    let t0 = Unix.gettimeofday () in
+    side.run ();
+    Unix.gettimeofday () -. t0
+  in
+  let rec go n sa sb =
+    let sa, sb =
+      List.fold_left
+        (fun (sa, sb) i ->
+          if (n + i) mod 2 = 0 then
+            let ta = time a in
+            (ta :: sa, time b :: sb)
+          else
+            let tb = time b in
+            (time a :: sa, tb :: sb))
+        (sa, sb) (List.init block Fun.id)
+    in
+    let n = n + block in
+    let qa1, ma, qa3 = quartiles sa and qb1, mb, qb3 = quartiles sb in
+    let se q1 q3 = 1.25 *. ((q3 -. q1) /. 1.35) /. sqrt (float_of_int n) in
+    let floor = (factor *. se qa1 qa3) +. se qb1 qb3 in
+    if Float.abs (mb -. (factor *. ma)) > floor || n >= cap then
+      (n, (qa1, ma, qa3), (qb1, mb, qb3))
+    else go n sa sb
+  in
+  let n, ((_, ma, _) as qa), ((_, mb, _) as qb) = go 0 [] [] in
+  let holds = if strict then factor *. ma < mb else factor *. ma <= mb in
+  if not holds then begin
+    let ms (q1, q2, q3) =
+      Printf.sprintf "%.2f/%.2f/%.2f" (1e3 *. q1) (1e3 *. q2) (1e3 *. q3)
+    in
+    fail "%s — %s: median %.2f ms, %s: median %.2f ms over %d interleaved \
+          rounds (quartiles ms %s vs %s)"
+      what a.label (1e3 *. ma) b.label (1e3 *. mb) n (ms qa) (ms qb)
+  end;
+  (ma, mb, n)
+
 (* Wall-clock smoke (PR 9): the scaling benchmark's headline claims,
    asserted rather than reported.  Single-threaded, the tile-blocked
-   kernel must beat the bounds-checked tapwalk by a wide margin on the
-   scaling bench's own workload (seismic, 4x4 nodes, 256x256 global);
-   the threshold is 2x where the measured margin is ~7x, so only a
-   real regression — not scheduler noise — trips it.  On a multi-core
-   host the shared tile queue must additionally make jobs = 2 no
-   slower than jobs = 1; a single-core host (the common CI container)
-   skips that assertion with a printed notice, since there parallel
-   execution can only add coordination overhead.  Timings are
-   best-of-3 averages so one descheduled run cannot fail the build. *)
+   kernel must beat the bounds-checked tapwalk at least 2x on the
+   scaling bench's own workload (seismic, 4x4 nodes, 256x256 global).
+   On a multi-core host the shared tile queue must additionally make
+   jobs = 2 no slower than jobs = 1; a single-core host (the common CI
+   container) skips that assertion with a printed notice, since there
+   parallel execution can only add coordination overhead. *)
 let check_walltime () =
   let p = Ccc.Seismic.kernel () in
   match Ccc.compile_pattern config p with
@@ -107,80 +166,59 @@ let check_walltime () =
       let env = env_for p ~rows ~cols in
       let kernel = Ccc.Kernel.build config compiled in
       let arena = Exec.Arena.create (Ccc.machine config) in
-      let repeats = 5 in
-      let time ?pool ?kernel inner =
-        let run () =
-          ignore (Exec.run_arena ?pool ~inner ?kernel arena compiled env)
-        in
-        run ();
-        (* warm the arena *)
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to repeats do
-            run ()
-          done;
-          let dt = (Unix.gettimeofday () -. t0) /. float_of_int repeats in
-          if dt < !best then best := dt
-        done;
-        !best
+      let side label ?pool ?kernel inner =
+        {
+          label;
+          run =
+            (fun () ->
+              ignore (Exec.run_arena ?pool ~inner ?kernel arena compiled env));
+        }
       in
-      let tapwalk_s = time Exec.Tapwalk in
-      let kernel_s = time ~kernel Exec.Lowered in
-      if kernel_s *. 2.0 > tapwalk_s then
-        fail
-          "walltime: kernel %.2f ms vs tapwalk %.2f ms — the tiled kernel \
-           must be at least 2x faster single-threaded"
-          (1e3 *. kernel_s) (1e3 *. tapwalk_s);
+      let kernel1 = side "kernel" ~kernel Exec.Lowered in
+      let kernel_s, tapwalk_s, n =
+        claim
+          ~what:"walltime: the tiled kernel must be at least 2x faster \
+                 single-threaded"
+          ~factor:2.0 kernel1 (side "tapwalk" Exec.Tapwalk)
+      in
       if Domain.recommended_domain_count () = 1 then
         Printf.printf
-          "walltime: kernel %.2f ms, tapwalk %.2f ms (%.1fx); single-core \
-           host, jobs=2 <= jobs=1 assertion skipped\n"
-          (1e3 *. kernel_s) (1e3 *. tapwalk_s) (tapwalk_s /. kernel_s)
+          "walltime: kernel %.2f ms, tapwalk %.2f ms (%.1fx, median of %d \
+           rounds); single-core host, jobs=2 <= jobs=1 assertion skipped\n"
+          (1e3 *. kernel_s) (1e3 *. tapwalk_s) (tapwalk_s /. kernel_s) n
       else begin
         let pool = Ccc.Pool.create ~jobs:2 in
-        let kernel2_s = time ~pool ~kernel Exec.Lowered in
-        Ccc.Pool.shutdown pool;
-        if kernel2_s > kernel_s then
-          fail
-            "walltime: jobs=2 %.2f ms slower than jobs=1 %.2f ms — the \
-             shared tile queue must not lose to the sequential walk on a \
-             %d-core host"
-            (1e3 *. kernel2_s) (1e3 *. kernel_s)
-            (Domain.recommended_domain_count ());
+        let kernel2_s, kernel1_s, n2 =
+          Fun.protect ~finally:(fun () -> Ccc.Pool.shutdown pool) (fun () ->
+              claim
+                ~what:
+                  (Printf.sprintf
+                     "walltime: the shared tile queue must not lose to the \
+                      sequential walk on a %d-core host"
+                     (Domain.recommended_domain_count ()))
+                ~factor:1.0
+                (side "jobs=2" ~pool ~kernel Exec.Lowered)
+                kernel1)
+        in
         Printf.printf
-          "walltime: kernel %.2f ms, tapwalk %.2f ms (%.1fx); jobs=2 %.2f \
-           ms (%.2fx of jobs=1)\n"
-          (1e3 *. kernel_s) (1e3 *. tapwalk_s) (tapwalk_s /. kernel_s)
-          (1e3 *. kernel2_s) (kernel_s /. kernel2_s)
+          "walltime: kernel %.2f ms, tapwalk %.2f ms (%.1fx, median of %d \
+           rounds); jobs=2 %.2f ms vs jobs=1 %.2f ms (%.2fx, median of %d \
+           rounds)\n"
+          (1e3 *. kernel_s) (1e3 *. tapwalk_s) (tapwalk_s /. kernel_s) n
+          (1e3 *. kernel2_s) (1e3 *. kernel1_s) (kernel1_s /. kernel2_s) n2
       end
 
 (* Transform-path smoke (PR 10): the backend planner's premise,
    asserted on the host.  On a dense 9x9 Gaussian over a 256x256
-   global grid the FFT path must beat the tiled lowered kernel
-   (measured margin ~2x); on the sparse seismic stencil over the same
-   grid it must lose.  The crossover the cost model places between
-   those two workloads is real, not an artifact of the cycle
-   constants.  The dense kernel only compiles on a register-rich
-   counterfactual config — relative host speed is unaffected.  Both
-   sides are timed steady-state: kernel and FFT plan prebuilt, as the
-   engine caches them in production. *)
+   global grid the FFT path must beat the tiled lowered kernel; on the
+   sparse seismic stencil over the same grid it must lose.  The
+   crossover the cost model places between those two workloads is
+   real, not an artifact of the cycle constants.  The dense kernel only
+   compiles on a register-rich counterfactual config — relative host
+   speed is unaffected.  Both sides are timed steady-state: kernel and
+   FFT plan prebuilt, as the engine caches them in production. *)
 let check_fft () =
   let rows = 256 and cols = 256 in
-  let time f =
-    ignore (f ());
-    let repeats = 3 in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to repeats do
-        ignore (f ())
-      done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int repeats in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let pair name config p =
     match Ccc.compile_pattern config p with
     | Error e -> fail "fft: %s compile failed: %s" name (Ccc.error_to_string e)
@@ -197,13 +235,18 @@ let check_fft () =
         let machine = Ccc.machine config in
         let kernel = Ccc.Kernel.build config compiled in
         let plan = Ccc.Fft.build p ~rows ~cols env in
-        let kernel_s =
-          time (fun () ->
-              Exec.run ~mode:Exec.Fast ~inner:Exec.Lowered ~kernel machine
-                compiled env)
-        in
-        let fft_s = time (fun () -> Exec.run_fft ~plan machine p env) in
-        (kernel_s, fft_s)
+        ( {
+            label = name ^ " kernel";
+            run =
+              (fun () ->
+                ignore
+                  (Exec.run ~mode:Exec.Fast ~inner:Exec.Lowered ~kernel machine
+                     compiled env));
+          },
+          {
+            label = name ^ " fft";
+            run = (fun () -> ignore (Exec.run_fft ~plan machine p env));
+          } )
   in
   let dense =
     let half = 4 in
@@ -229,18 +272,22 @@ let check_fft () =
       scratch_memory_words = 1 lsl 22;
     }
   in
-  let dense_kernel_s, dense_fft_s = pair "dense 9x9" rich dense in
-  if dense_fft_s >= dense_kernel_s then
-    fail
-      "fft: %.2f ms must beat the lowered kernel's %.2f ms on a dense 9x9 \
-       Gaussian at 256x256 — the planner's dense-side premise"
-      (1e3 *. dense_fft_s) (1e3 *. dense_kernel_s);
-  let seis_kernel_s, seis_fft_s = pair "seismic" config (Ccc.Seismic.kernel ()) in
-  if seis_fft_s <= seis_kernel_s then
-    fail
-      "fft: %.2f ms must lose to the lowered kernel's %.2f ms on the sparse \
-       seismic stencil — the planner's sparse-side premise"
-      (1e3 *. seis_fft_s) (1e3 *. seis_kernel_s);
+  let dense_kernel, dense_fft = pair "dense 9x9" rich dense in
+  let dense_fft_s, dense_kernel_s, _ =
+    claim ~strict:true ~cap:40
+      ~what:
+        "fft: the transform must beat the lowered kernel on a dense 9x9 \
+         Gaussian at 256x256 — the planner's dense-side premise"
+      ~factor:1.0 dense_fft dense_kernel
+  in
+  let seis_kernel, seis_fft = pair "seismic" config (Ccc.Seismic.kernel ()) in
+  let seis_kernel_s, seis_fft_s, _ =
+    claim ~strict:true ~cap:40
+      ~what:
+        "fft: the transform must lose to the lowered kernel on the sparse \
+         seismic stencil — the planner's sparse-side premise"
+      ~factor:1.0 seis_kernel seis_fft
+  in
   Printf.printf
     "fft: dense 9x9 %.2f ms beats kernel %.2f ms; seismic %.2f ms loses to \
      kernel %.2f ms\n"

@@ -639,7 +639,11 @@ let batch_cmd =
     in
     let env = synthetic_env ~rows ~cols names in
     let obs = obs_of_trace trace in
-    let engine = Ccc.Engine.create ?obs ~jobs config in
+    let engine =
+      Ccc.Engine.create ?obs
+        ~settings:{ Ccc.Engine.default_settings with jobs }
+        config
+    in
     at_exit (fun () -> Ccc.Engine.shutdown engine);
     let last = ref None in
     for _ = 1 to repeat do
@@ -821,7 +825,7 @@ let conform_cmd =
     (Cmd.info "conform"
        ~doc:
          "Run the differential conformance matrix: every gallery stencil at \
-          every compiled width down all four execution paths at jobs 1/2/7, \
+          every compiled width down all five execution paths at jobs 1/2/7, \
           clean and under seed-driven fault injection (bit flips, \
           dropped/duplicated halo messages, sequencer phase skips, a \
           poisoned cached kernel, worker-domain death).  Exits nonzero \

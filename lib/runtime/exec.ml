@@ -14,6 +14,7 @@ module Access = Ccc_analysis.Access
 type mode = Simulate | Fast
 type inner = Tapwalk | Lowered
 type result = { output : Grid.t; stats : Stats.t }
+type batch = { batch_results : result list; batch_stats : Stats.t }
 
 exception Too_small of string
 
@@ -50,6 +51,61 @@ let compose_hooks a b =
         b.on_compute_node node);
   }
 
+(* ------------------------------------------------------------------ *)
+(* Statements and their price on the model. *)
+
+(* One statement of the pipeline: its taps over the exchanged sources
+   (a single-source pattern is the one-source case), the compiled plans
+   that strip-mine it, descending by width — empty on the transform
+   path, which needs none — and an optional pre-verified kernel. *)
+type stmt = { multi : Multi.t; plans : Plan.t list; kernel : Kernel.t option }
+
+let stmt_of_compiled ?kernel (c : Compile.t) =
+  { multi = Multi.of_pattern c.Compile.pattern; plans = c.Compile.plans; kernel }
+
+let stmt_of_fused (f : Compile.fused) =
+  { multi = f.Compile.multi; plans = f.Compile.fused_plans; kernel = None }
+
+let stmt_of_pattern p = { multi = Multi.of_pattern p; plans = []; kernel = None }
+
+(* The coefficient streams of the widest plan, in tap order. *)
+let streams_of stmt =
+  match stmt.plans with p :: _ -> p.Plan.coeff_streams | [] -> [||]
+
+(* One exchanged source array of a statement set, padded to the widest
+   border any statement reads it at; its corner sections are fetched
+   (rather than NaN-poisoned) if any statement needs them — sound for
+   the others, which never read corners. *)
+type source = { name : string; pad : int; corners : bool }
+
+let source_set stmts =
+  let first = (List.hd stmts).multi in
+  Array.of_list
+    (List.mapi
+       (fun i name ->
+         {
+           name;
+           pad =
+             List.fold_left
+               (fun acc s -> max acc (Multi.max_border s.multi i))
+               0 stmts;
+           corners = List.exists (fun s -> Multi.needs_corners s.multi i) stmts;
+         })
+       (Multi.sources first))
+
+let skips_corners sources = not (Array.exists (fun s -> s.corners) sources)
+
+let check_fits sources ~sub_rows ~sub_cols =
+  Array.iter
+    (fun s ->
+      if s.pad > sub_rows || s.pad > sub_cols then
+        raise
+          (Too_small
+             (Printf.sprintf
+                "border width %d of %s exceeds the %dx%d per-node subgrid"
+                s.pad s.name sub_rows sub_cols)))
+    sources
+
 (* Per-iteration totals from the analytic model; the simulate path
    asserts agreement with the interpreter.
 
@@ -75,6 +131,50 @@ let analytic_totals (config : Config.t) halfstrips =
         stall +. Float.max 0.0 (fe_s -. cm_s) ))
     (0, 0, 0.0) halfstrips
 
+(* What one statement costs on the model for a per-node subgrid: the
+   half-strips its plans walk and their analytic totals, or — on the
+   transform path — the closed forms of {!Cost.fft_cycles}, whose
+   transposes add to the halo exchange's communication. *)
+type price = {
+  halfstrips : Stripmine.halfstrip list;
+  widths : int list;
+  cycles : int;
+  madds : int;
+  stall_s : float;
+  transform_comm : int;
+}
+
+let price (config : Config.t) ~transform stmt ~sub_rows ~sub_cols =
+  if transform then
+    let rows = sub_rows * config.Config.node_rows
+    and cols = sub_cols * config.Config.node_cols
+    and pad = Multi.max_border stmt.multi 0 in
+    {
+      halfstrips = [];
+      widths = [];
+      cycles = Cost.fft_compute_cycles config ~rows ~cols ~pad;
+      madds =
+        4
+        * (Cost.fft_butterflies ~rows ~cols ~pad
+          + Cost.fft_pointwise_bins ~rows ~cols ~pad);
+      stall_s = 0.0;
+      transform_comm = Cost.fft_comm_cycles config ~rows ~cols ~pad;
+    }
+  else
+    let strips = Stripmine.strips_of_plans stmt.plans ~sub_cols in
+    let halfstrips =
+      List.concat_map (fun s -> Stripmine.halfstrips s ~sub_rows) strips
+    in
+    let cycles, madds, stall_s = analytic_totals config halfstrips in
+    {
+      halfstrips;
+      widths = List.map (fun (s : Stripmine.strip) -> s.plan.Plan.width) strips;
+      cycles;
+      madds;
+      stall_s;
+      transform_comm = 0;
+    }
+
 let build_stats (config : Config.t) ~iterations ~comm_cycles ~call_s
     ~compute_cycles ~madds ~frontend_stall_s ~flops_per_point ~global_points
     ~strip_widths ~corners_skipped =
@@ -91,134 +191,300 @@ let build_stats (config : Config.t) ~iterations ~comm_cycles ~call_s
     clock_hz = config.clock_hz;
   }
 
-let plan_streams compiled =
-  (Compile.widest compiled).Plan.coeff_streams
+(* A statement set's statistics.  Each statement's own stats carry only
+   its compute and dispatch stalls; communication (every halo exchange
+   plus any transform transposes) and the per-call launch are paid once
+   for the set and appear in the aggregate alongside the summed
+   compute.  For a set of one statement the aggregate is exactly that
+   statement's one-shot statistics. *)
+let set_stats config ~iterations ~halo_cycles ~global_points priced =
+  let each =
+    List.map
+      (fun (stmt, p) ->
+        build_stats config ~iterations:1 ~comm_cycles:0 ~call_s:0.0
+          ~compute_cycles:p.cycles ~madds:p.madds ~frontend_stall_s:p.stall_s
+          ~flops_per_point:(Multi.useful_flops_per_point stmt.multi)
+          ~global_points ~strip_widths:p.widths
+          ~corners_skipped:(skips_corners (source_set [ stmt ])))
+      priced
+  in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
+  let total =
+    build_stats config ~iterations
+      ~comm_cycles:(halo_cycles + sum (fun (_, p) -> p.transform_comm) priced)
+      ~call_s:(Config.effective_call_s config)
+      ~compute_cycles:(sum (fun s -> s.Stats.compute_cycles) each)
+      ~madds:(sum (fun s -> s.Stats.madds_issued) each)
+      ~frontend_stall_s:
+        (List.fold_left (fun acc s -> acc +. s.Stats.frontend_s) 0.0 each)
+      ~flops_per_point:
+        (sum (fun (stmt, _) -> Multi.useful_flops_per_point stmt.multi) priced)
+      ~global_points
+      ~strip_widths:(List.concat_map (fun s -> s.Stats.strip_widths) each)
+      ~corners_skipped:(List.for_all (fun s -> s.Stats.corners_skipped) each)
+  in
+  (each, total)
 
-let materialize_streams ~pool machine env ~sub_rows ~sub_cols streams =
-  let cache : (string, Dist.t) Hashtbl.t = Hashtbl.create 8 in
-  Array.map
-    (fun coeff ->
+(* ------------------------------------------------------------------ *)
+(* Placement: the standing regions a run executes in. *)
+
+module Arena = struct
+  type slot = {
+    profile : int * int * int array * int;
+        (* sub_rows, sub_cols, per-source pad, stream count *)
+    srcs : Dist.t array;
+    streams : Dist.t array;
+    dst : Dist.t;
+    halos : Memory.region array;
+  }
+
+  type t = {
+    machine : Machine.t;
+    floor : Memory.region;
+    mutable slot : slot option;
+    mutable reuses : int;
+    mutable rebuilds : int;
+  }
+
+  let create machine =
+    {
+      machine;
+      floor = Machine.alloc_all machine ~words:0;
+      slot = None;
+      reuses = 0;
+      rebuilds = 0;
+    }
+
+  let machine t = t.machine
+  let reuses t = t.reuses
+  let rebuilds t = t.rebuilds
+
+  (* The node memories are bump allocators, so the arena keeps exactly
+     one standing shape profile: a request for the same profile reuses
+     every region in place, and any other profile frees back to the
+     floor watermark and rebuilds.  Callers rewrite every word of every
+     region before reading (scatter_into / fill / exchange_into), so
+     reuse cannot observe a previous call's data. *)
+  let acquire t ~sub_rows ~sub_cols ~pads ~nstreams =
+    let profile = (sub_rows, sub_cols, pads, nstreams) in
+    match t.slot with
+    | Some slot when slot.profile = profile ->
+        t.reuses <- t.reuses + 1;
+        slot
+    | _ ->
+        Machine.free_all_after t.machine t.floor;
+        let dist () = Dist.create t.machine ~sub_rows ~sub_cols in
+        let srcs = Array.map (fun _ -> dist ()) pads in
+        let streams = Array.init nstreams (fun _ -> dist ()) in
+        let dst = dist () in
+        let halos =
+          Array.map
+            (fun pad ->
+              Machine.alloc_all t.machine
+                ~words:((sub_rows + (2 * pad)) * (sub_cols + (2 * pad))))
+            pads
+        in
+        let slot = { profile; srcs; streams; dst; halos } in
+        t.slot <- Some slot;
+        t.rebuilds <- t.rebuilds + 1;
+        slot
+
+  let reset t =
+    Machine.free_all_after t.machine t.floor;
+    t.slot <- None
+end
+
+(* A transient placement is an arena over the machine's current
+   allocation top, released on the way out — the faithful rendering of
+   one Fortran statement; a standing placement is the engine's arena,
+   kept between requests. *)
+type placement = Transient of Machine.t | Standing of Arena.t
+
+let with_arena placement f =
+  match placement with
+  | Standing arena -> f arena
+  | Transient machine ->
+      let arena = Arena.create machine in
+      Fun.protect ~finally:(fun () -> Arena.reset arena) (fun () -> f arena)
+
+let subgrid_shape (config : Config.t) ~who grid =
+  let grows = Grid.rows grid and gcols = Grid.cols grid in
+  let nrows = config.Config.node_rows and ncols = config.Config.node_cols in
+  if grows mod nrows <> 0 || gcols mod ncols <> 0 then
+    invalid_arg
+      (Printf.sprintf
+         "%s: %dx%d array does not divide over a %dx%d node grid" who grows
+         gcols nrows ncols);
+  (grows / nrows, gcols / ncols)
+
+(* ------------------------------------------------------------------ *)
+(* The compute backends. *)
+
+(* Write every coefficient stream of a statement into its region: an
+   array is scattered, a scalar (or the implicit one) broadcast. *)
+let fill_streams ~pool env (dists : Dist.t array) spec =
+  Array.iteri
+    (fun i coeff ->
       match coeff with
-      | Coeff.Array name -> begin
-          match Hashtbl.find_opt cache name with
-          | Some d -> d
-          | None ->
-              let d = Dist.scatter ~pool machine (Reference.lookup env name) in
-              Hashtbl.add cache name d;
-              d
-        end
-      | Coeff.Scalar v ->
-          let d = Dist.create machine ~sub_rows ~sub_cols in
-          Dist.fill ~pool d v;
-          d
-      | Coeff.One ->
-          let d = Dist.create machine ~sub_rows ~sub_cols in
-          Dist.fill ~pool d 1.0;
-          d)
-    streams
+      | Coeff.Array name ->
+          Dist.scatter_into ~pool dists.(i) (Reference.lookup env name)
+      | Coeff.Scalar v -> Dist.fill ~pool dists.(i) v
+      | Coeff.One -> Dist.fill ~pool dists.(i) 1.0)
+    spec
 
-(* Direct evaluation of one node's subgrid from its padded temporaries
-   and coefficient streams: the fast inner loop.  Reads exactly the
-   positions the microcode would. *)
-let fast_node_compute pattern ~(source : Halo.exchange) ~(dst : Dist.t)
-    ~(streams : Dist.t array) ~node mem =
-  let sub_rows = dst.Dist.sub_rows and sub_cols = dst.Dist.sub_cols in
-  let pad = source.Halo.pad and pcols = source.Halo.padded_cols in
-  let taps = Pattern.taps pattern in
+(* The bounds-checked tapwalk over one node's bindings: every operand
+   address is re-derived from the tap list per element, reading exactly
+   the positions the microcode would. *)
+let tapwalk multi ~sub_rows (b : Interp.bindings) =
+  let mem = b.Interp.memory and cols = b.Interp.dst_cols in
+  let at (region : Memory.region) r c = region.Memory.base + (r * cols) + c in
+  let taps = Multi.taps multi in
   let ntaps = List.length taps in
-  let padded_base = source.Halo.padded.Memory.base in
   for r = 0 to sub_rows - 1 do
-    for c = 0 to sub_cols - 1 do
+    for c = 0 to cols - 1 do
       let sum = ref 0.0 in
       List.iteri
-        (fun i tap ->
-          let { Offset.drow; dcol } = tap.Tap.offset in
+        (fun i (st : Multi.source_tap) ->
+          let { Offset.drow; dcol } = st.Multi.tap.Tap.offset in
+          let { Interp.padded; padded_cols; pad } =
+            b.Interp.sources.(st.Multi.source)
+          in
           let v =
             Memory.read mem
-              (padded_base + ((r + drow + pad) * pcols) + (c + dcol + pad))
+              (padded.Memory.base + ((r + drow + pad) * padded_cols) + c + dcol
+             + pad)
           in
-          let coeff = Dist.local_get streams.(i) ~node ~row:r ~col:c in
-          sum := !sum +. (coeff *. v))
+          sum := !sum +. (Memory.read mem (at b.Interp.coeffs.(i) r c) *. v))
         taps;
-      (match Pattern.bias pattern with
-      | Some _ ->
-          sum := !sum +. Dist.local_get streams.(ntaps) ~node ~row:r ~col:c
-      | None -> ());
-      Dist.local_set dst ~node ~row:r ~col:c !sum
+      if Multi.bias multi <> None then
+        sum := !sum +. Memory.read mem (at b.Interp.coeffs.(ntaps) r c);
+      Memory.write mem (at b.Interp.dst r c) !sum
     done
   done
 
-(* Resolve a kernel against the statement's standing regions: the
-   layouts are identical on every node (Machine.alloc_all asserts it),
-   so one specialization — and one tile decomposition — serves the
-   whole machine. *)
-let specialize_kernel kernel machine ~tile ~(halos : Halo.exchange array)
-    ~(dst : Dist.t) ~(streams : Dist.t array) =
-  Kernel.specialize kernel ~tile ~sub_rows:dst.Dist.sub_rows
-    ~sub_cols:dst.Dist.sub_cols
-    ~sources:
-      (Array.map
-         (fun (h : Halo.exchange) ->
-           {
-             Kernel.base = h.Halo.padded.Memory.base;
-             pcols = h.Halo.padded_cols;
-             pad = h.Halo.pad;
-           })
-         halos)
-    ~coeff_bases:(Array.map (fun d -> d.Dist.region.Memory.base) streams)
-    ~dst_base:dst.Dist.region.Memory.base
-    ~words:(Memory.words (Machine.memory machine 0))
-    ()
-
-(* The phase shared by the one-shot path, the arena path and every
-   statement of a batched run: strip the subgrid, evaluate in the
-   requested mode, return the analytic per-iteration totals.  [halo]
-   may be padded wider than the pattern's own border (a batch pads to
-   the widest statement); the inner loops index by [halo.pad], so a
-   narrower pattern simply reads inside the border. *)
-let compute_statement ~obs ~mode ~pool ~inner ~kernel ~tile ~hooks machine
-    compiled ~(halo : Halo.exchange) ~(dst : Dist.t) ~(streams : Dist.t array)
-    =
-  let config = Machine.config machine in
-  let pattern = compiled.Compile.pattern in
+(* The transform backend's compute: assemble the global padded frame
+   from the exchanged node temporaries, convolve it through the plan,
+   and distribute the result.  Each node owns its subgrid's cells plus,
+   on the machine's edge, the adjoining frame cells — which its own
+   halo holds with boundary semantics already applied (wraparound
+   values or the end-off fill), so halo faults propagate into the
+   transform input exactly as they would into the microcode's reads.
+   When corner sections were skipped, the frame's corner blocks are
+   zeroed rather than read: with no diagonal taps their coefficients
+   are zero (including under the transform's mod-P aliasing — a corner
+   cell can only reach an output point at a doubly-negative offset), so
+   zeros are exact where the exchanged NaN poison would destroy the
+   whole spectrum. *)
+let transform_compute ~pool ~per_node machine fplan ~(halo : Halo.exchange)
+    ~(dst : Dist.t) =
   let sub_rows = dst.Dist.sub_rows and sub_cols = dst.Dist.sub_cols in
-  let strips = Stripmine.strips compiled ~sub_cols in
-  let halfstrips =
-    List.concat_map (fun s -> Stripmine.halfstrips s ~sub_rows) strips
+  let rows = Dist.global_rows dst and cols = Dist.global_cols dst in
+  let pad = halo.Halo.pad and needs_corners = not halo.Halo.corners_skipped in
+  let frame_cols = cols + (2 * pad) in
+  let frame = Grid.create ~rows:(rows + (2 * pad)) ~cols:frame_cols in
+  let fraw = Grid.raw frame in
+  let base = halo.Halo.padded.Memory.base in
+  let hpcols = halo.Halo.padded_cols in
+  let geometry = Machine.geometry machine in
+  let grows = Ccc_cm2.Geometry.rows geometry in
+  let gcols = Ccc_cm2.Geometry.cols geometry in
+  per_node (fun node mem ->
+      let node_r, node_c = Ccc_cm2.Geometry.coord_of_node geometry node in
+      let r_lo = if node_r = 0 then -pad else node_r * sub_rows in
+      let r_hi =
+        if node_r = grows - 1 then rows + pad else (node_r + 1) * sub_rows
+      in
+      let c_lo = if node_c = 0 then -pad else node_c * sub_cols in
+      let c_hi =
+        if node_c = gcols - 1 then cols + pad else (node_c + 1) * sub_cols
+      in
+      for r0 = r_lo to r_hi - 1 do
+        let lr = r0 - (node_r * sub_rows) in
+        for c0 = c_lo to c_hi - 1 do
+          let lc = c0 - (node_c * sub_cols) in
+          let corner = (r0 < 0 || r0 >= rows) && (c0 < 0 || c0 >= cols) in
+          let v =
+            if corner && not needs_corners then 0.0
+            else Memory.read mem (base + ((lr + pad) * hpcols) + (lc + pad))
+          in
+          fraw.(((r0 + pad) * frame_cols) + (c0 + pad)) <- v
+        done
+      done);
+  Dist.scatter_into ~pool dst (Fft.execute ~pool fplan ~padded:frame)
+
+type compute = Compiled of mode * inner | Transform of Fft.plan
+
+(* The compute phase of one statement: evaluate it with the chosen
+   backend over the exchanged temporaries into [dst].  [halos] may be
+   padded wider than the statement's own border (a batch pads to the
+   widest statement); the inner loops index by each halo's pad, so a
+   narrower pattern simply reads inside the border. *)
+let compute_statement ~obs ~compute ~pool ~tile ~hooks machine stmt price
+    ~(halos : Halo.exchange array) ~(dst : Dist.t) ~(streams : Dist.t array) =
+  let config = Machine.config machine in
+  let nnodes = Machine.node_count machine in
+  (* The per-node loops fire the node's hook and log its halo read
+     before touching its memory. *)
+  let per_node f =
+    Pool.iter pool nnodes (fun node ->
+        hooks.on_compute_node node;
+        Access.read "halo.node" (Dist.probe_slot machine node);
+        f node (Machine.memory machine node))
   in
-  let analytic_cycles, analytic_madds, frontend_stall_s =
-    analytic_totals config halfstrips
+  (* The layouts are identical on every node (Machine.alloc_all asserts
+     it), so one set of bindings — and one kernel specialization, one
+     tile decomposition — serves the whole machine. *)
+  let sources =
+    Array.map
+      (fun (h : Halo.exchange) ->
+        {
+          Interp.padded = h.Halo.padded;
+          padded_cols = h.Halo.padded_cols;
+          pad = h.Halo.pad;
+        })
+      halos
+  in
+  let bindings memory =
+    {
+      Interp.memory;
+      sources;
+      dst = dst.Dist.region;
+      dst_cols = dst.Dist.sub_cols;
+      coeffs = Array.map (fun d -> d.Dist.region) streams;
+    }
   in
   Access.set_phase "compute";
-  Obs.span obs "run.compute" @@ fun () ->
-  (* One child span per half-strip, timed in simulated cycles by the
-     analytic model (which Simulate provably matches). *)
-  if Obs.tracing obs then begin
-    List.iter
-      (fun (hs : Stripmine.halfstrip) ->
-        let lines = Array.length hs.rows in
-        Tr.emit obs.Obs.trace
-          ~attrs:
-            [
-              ("width", Tr.Int hs.strip.plan.Plan.width);
-              ("col0", Tr.Int hs.strip.col0);
-              ("lines", Tr.Int lines);
-              ("cycles", Tr.Int (Cost.halfstrip_cycles config hs.strip.plan ~lines));
-            ]
-          "run.halfstrip")
-      halfstrips;
-    Tr.add_attr obs.Obs.trace "cycles" (Tr.Int analytic_cycles);
-    Tr.add_attr obs.Obs.trace "madds" (Tr.Int analytic_madds)
-  end;
-  (match mode with
-  | Fast -> begin
-      match inner with
-      | Lowered ->
+  Obs.span obs "run.compute" (fun () ->
+      (* One child span per half-strip, timed in simulated cycles by
+         the analytic model (which Simulate provably matches). *)
+      if Obs.tracing obs then begin
+        List.iter
+          (fun (hs : Stripmine.halfstrip) ->
+            let lines = Array.length hs.rows in
+            Tr.emit obs.Obs.trace
+              ~attrs:
+                [
+                  ("width", Tr.Int hs.strip.plan.Plan.width);
+                  ("col0", Tr.Int hs.strip.col0);
+                  ("lines", Tr.Int lines);
+                  ( "cycles",
+                    Tr.Int (Cost.halfstrip_cycles config hs.strip.plan ~lines) );
+                ]
+              "run.halfstrip")
+          price.halfstrips;
+        Tr.add_attr obs.Obs.trace "cycles" (Tr.Int price.cycles);
+        Tr.add_attr obs.Obs.trace "madds" (Tr.Int price.madds)
+      end;
+      match compute with
+      | Compiled (Fast, Lowered) ->
           let k =
-            match kernel with Some k -> k | None -> Kernel.lower pattern
+            match stmt.kernel with
+            | Some k -> k
+            | None -> Kernel.lower stmt.multi
           in
           let spec =
-            specialize_kernel k machine ~tile ~halos:[| halo |] ~dst ~streams
+            Kernel.specialize k ~tile ~sub_rows:dst.Dist.sub_rows
+              (bindings (Machine.memory machine 0))
           in
           (* The pool's queue items are (node, tile) pairs, node-major:
              tiles touch disjoint destination spans, so any claim order
@@ -228,9 +494,7 @@ let compute_statement ~obs ~mode ~pool ~inner ~kernel ~tile ~hooks machine
              (node probe slot above the tile index) so the analyzer's
              partition rule sees per-item ownership, not per-node. *)
           let ntiles = Kernel.tile_count spec in
-          Pool.iter pool
-            (Machine.node_count machine * ntiles)
-            (fun item ->
+          Pool.iter pool (nnodes * ntiles) (fun item ->
               let node = item / ntiles and tl = item mod ntiles in
               let slot = Dist.probe_slot machine node in
               if tl = 0 then begin
@@ -239,190 +503,211 @@ let compute_statement ~obs ~mode ~pool ~inner ~kernel ~tile ~hooks machine
               end;
               Access.write "exec.tile" ((slot lsl 20) + tl);
               Kernel.exec_tile spec tl (Memory.raw (Machine.memory machine node)))
-      | Tapwalk ->
-          Pool.iter pool (Machine.node_count machine) (fun node ->
-              hooks.on_compute_node node;
-              Access.read "halo.node" (Dist.probe_slot machine node);
+      | Compiled (Fast, Tapwalk) ->
+          per_node (fun node mem ->
               Access.write "exec.dst" (Dist.probe_slot machine node);
-              fast_node_compute pattern ~source:halo ~dst ~streams ~node
-                (Machine.memory machine node))
-    end
-  | Simulate ->
-      (* Simulation is the checking mode: beyond Cost = Interp below,
-         every plan the strips draw on must be clean under the
-         standalone analyzer. *)
-      List.iter (Ccc_analysis.Verify.verify_exn config) compiled.Compile.plans;
-      (* Per-domain accumulation: each chunk writes only its own nodes'
-         slots; the checks run after the barrier on the coordinating
-         domain, lowest node first, so a divergence reports the same
-         node at every jobs value. *)
-      let nnodes = Machine.node_count machine in
-      let outcomes = Array.make nnodes Interp.zero_outcome in
-      Pool.iter pool nnodes (fun node ->
-          hooks.on_compute_node node;
-          Access.read "halo.node" (Dist.probe_slot machine node);
-          Access.write "exec.dst" (Dist.probe_slot machine node);
-          Access.write "exec.outcome" (Dist.probe_slot machine node);
-          let mem = Machine.memory machine node in
-          let bindings =
-            {
-              Interp.memory = mem;
-              sources =
-                [|
-                  {
-                    Interp.padded = halo.Halo.padded;
-                    padded_cols = halo.Halo.padded_cols;
-                    pad = halo.Halo.pad;
-                  };
-                |];
-              dst = dst.Dist.region;
-              dst_cols = sub_cols;
-              coeffs = Array.map (fun d -> d.Dist.region) streams;
-            }
-          in
-          outcomes.(node) <-
-            List.fold_left
-              (fun acc (hs : Stripmine.halfstrip) ->
-                let outcome =
-                  Interp.run_halfstrip config hs.strip.plan bindings
-                    ~col0:hs.strip.col0 ~rows:hs.rows
-                in
-                Interp.add_outcome acc outcome)
-              Interp.zero_outcome halfstrips);
-      (* The analytic model and the interpreter must agree on every
-         node; a divergence is a bug in one of them. *)
-      Array.iteri
-        (fun node (total : Interp.outcome) ->
-          Access.read "exec.outcome" (Dist.probe_slot machine node);
-          if total.Interp.cycles <> analytic_cycles then
-            failwith
-              (Printf.sprintf
-                 "Exec.run: node %d: interpreter took %d cycles, model \
-                  predicts %d"
-                 node total.Interp.cycles analytic_cycles);
-          if total.Interp.madds <> analytic_madds then
-            failwith
-              (Printf.sprintf
-                 "Exec.run: node %d: interpreter issued %d madds, model \
-                  predicts %d"
-                 node total.Interp.madds analytic_madds))
-        outcomes);
+              tapwalk stmt.multi ~sub_rows:dst.Dist.sub_rows (bindings mem))
+      | Compiled (Simulate, _) ->
+          (* Simulation is the checking mode: beyond Cost = Interp below,
+             every plan the strips draw on must be clean under the
+             standalone analyzer. *)
+          List.iter (Ccc_analysis.Verify.verify_exn config) stmt.plans;
+          (* Per-domain accumulation: each chunk writes only its own
+             nodes' slots; the checks run after the barrier on the
+             coordinating domain, lowest node first, so a divergence
+             reports the same node at every jobs value. *)
+          let outcomes = Array.make nnodes Interp.zero_outcome in
+          per_node (fun node memory ->
+              Access.write "exec.dst" (Dist.probe_slot machine node);
+              Access.write "exec.outcome" (Dist.probe_slot machine node);
+              let bindings = bindings memory in
+              outcomes.(node) <-
+                List.fold_left
+                  (fun acc (hs : Stripmine.halfstrip) ->
+                    Interp.add_outcome acc
+                      (Interp.run_halfstrip config hs.strip.plan bindings
+                         ~col0:hs.strip.col0 ~rows:hs.rows))
+                  Interp.zero_outcome price.halfstrips);
+          (* The analytic model and the interpreter must agree on every
+             node; a divergence is a bug in one of them. *)
+          Array.iteri
+            (fun node (total : Interp.outcome) ->
+              Access.read "exec.outcome" (Dist.probe_slot machine node);
+              let agree what got want =
+                if got <> want then
+                  failwith
+                    (Printf.sprintf
+                       "Exec: node %d: interpreter %s %d, model predicts %d"
+                       node what got want)
+              in
+              agree "cycles" total.Interp.cycles price.cycles;
+              agree "madds" total.Interp.madds price.madds)
+            outcomes
+      | Transform fplan ->
+          transform_compute ~pool ~per_node machine fplan ~halo:halos.(0) ~dst);
   hooks.on_phase
     {
       phase = "compute";
       machine;
       source = None;
-      halo = Some halo;
+      halo = Some halos.(0);
       dst = Some dst;
       streams;
-    };
-  ( analytic_cycles,
-    analytic_madds,
-    frontend_stall_s,
-    List.map (fun (s : Stripmine.strip) -> s.plan.Plan.width) strips )
+    }
 
-let too_small pad ~sub_rows ~sub_cols =
-  Too_small
-    (Printf.sprintf "border width %d exceeds the %dx%d per-node subgrid" pad
-       sub_rows sub_cols)
+(* ------------------------------------------------------------------ *)
+(* The pipeline: the run-time library's outer loop, written once. *)
 
-let run ?(obs = Obs.disabled) ?(mode = Fast) ?(primitive = Halo.Node_level)
-    ?(iterations = 1) ?(pool = Pool.sequential) ?(inner = Lowered) ?kernel
-    ?tile ?(hooks = no_hooks) machine compiled env =
-  if iterations < 1 then invalid_arg "Exec.run: iterations < 1";
+(* Acquire placement -> scatter sources -> fill the first statement's
+   streams -> halo exchange(s) -> "halo" hook -> per statement: compute
+   -> "compute" hook -> gather (the destination region is shared, so
+   each result is gathered before the next statement overwrites it,
+   and statements after the first refill their streams first) ->
+   stats/obs.  Every public run entry point below is this function
+   with a placement, a statement set and a compute backend chosen.
+   All statements must read the same source arrays under the same
+   boundary semantics (callers validate; a single statement trivially
+   does).  [hooks.on_phase] names the first source's distribution and
+   exchange. *)
+let pipeline ?(obs = Obs.disabled) ?(primitive = Halo.Node_level)
+    ?(iterations = 1) ?(pool = Pool.sequential) ?tile ?(hooks = no_hooks)
+    ?(attrs = []) ~who ~root ~compute placement stmts env =
+  if iterations < 1 then invalid_arg (who ^ ": iterations < 1");
+  let machine =
+    match placement with Transient m -> m | Standing a -> Arena.machine a
+  in
   let config = Machine.config machine in
   let tile = Option.value tile ~default:config.Config.tile in
-  let pattern = compiled.Compile.pattern in
-  Reference.check_env pattern env;
-  let source_grid = Reference.lookup env (Pattern.source_var pattern) in
-  let watermark = Machine.alloc_all machine ~words:0 in
-  Obs.span obs "run" @@ fun () ->
-  Fun.protect
-    ~finally:(fun () -> Machine.free_all_after machine watermark)
-  @@ fun () ->
+  List.iter (fun s -> Reference.check_multi s.multi env) stmts;
+  let sources = source_set stmts in
+  let grids = Array.map (fun s -> Reference.lookup env s.name) sources in
+  let sub_rows, sub_cols = subgrid_shape config ~who grids.(0) in
+  check_fits sources ~sub_rows ~sub_cols;
+  let transform = match compute with Transform _ -> true | Compiled _ -> false in
+  let priced =
+    List.map (fun s -> (s, price config ~transform s ~sub_rows ~sub_cols)) stmts
+  in
+  let boundary = Multi.boundary (List.hd stmts).multi in
+  let nstreams =
+    List.fold_left (fun acc s -> max acc (Array.length (streams_of s))) 0 stmts
+  in
+  Obs.span obs root ~attrs @@ fun () ->
+  with_arena placement @@ fun arena ->
+  let slot =
+    Arena.acquire arena ~sub_rows ~sub_cols
+      ~pads:(Array.map (fun s -> s.pad) sources)
+      ~nstreams
+  in
+  let dst = slot.Arena.dst in
   Access.set_phase "scatter";
-  let source =
-    Obs.span obs "run.scatter" (fun () ->
-        Dist.scatter ~pool machine source_grid)
+  Obs.span obs "run.scatter" (fun () ->
+      Array.iteri
+        (fun i g -> Dist.scatter_into ~pool slot.Arena.srcs.(i) g)
+        grids);
+  let fill stmt =
+    let spec = streams_of stmt in
+    let streams = Array.sub slot.Arena.streams 0 (Array.length spec) in
+    if Array.length spec > 0 then begin
+      Access.set_phase "streams";
+      Obs.span obs "run.streams" (fun () -> fill_streams ~pool env streams spec)
+    end;
+    streams
   in
-  let sub_rows = source.Dist.sub_rows and sub_cols = source.Dist.sub_cols in
-  let pad = Pattern.max_border pattern in
-  if pad > sub_rows || pad > sub_cols then
-    raise (too_small pad ~sub_rows ~sub_cols);
-  let streams =
-    Obs.span obs "run.streams" (fun () ->
-        materialize_streams ~pool machine env ~sub_rows ~sub_cols
-          (plan_streams compiled))
-  in
-  let dst = Dist.create machine ~sub_rows ~sub_cols in
+  let first_streams = fill (List.hd stmts) in
   Access.set_phase "halo";
-  let halo =
+  let halos, halo_cycles =
     Obs.span obs "run.halo" @@ fun () ->
-    let h =
-      Halo.exchange ~primitive ~pool ~source ~pad
-        ~boundary:(Pattern.boundary pattern)
-        ~needs_corners:(Pattern.needs_corners pattern) ()
+    let hs =
+      Array.mapi
+        (fun i s ->
+          Halo.exchange_into ~primitive ~pool ~padded:slot.Arena.halos.(i)
+            ~source:slot.Arena.srcs.(i) ~pad:s.pad ~boundary
+            ~needs_corners:s.corners ())
+        sources
     in
-    if Obs.tracing obs then
-      Tr.add_attr obs.Obs.trace "cycles" (Tr.Int h.Halo.cycles);
-    h
+    let cycles = Array.fold_left (fun acc h -> acc + h.Halo.cycles) 0 hs in
+    if Obs.tracing obs then Tr.add_attr obs.Obs.trace "cycles" (Tr.Int cycles);
+    (hs, cycles)
   in
   hooks.on_phase
     {
       phase = "halo";
       machine;
-      source = Some source;
-      halo = Some halo;
+      source = Some slot.Arena.srcs.(0);
+      halo = Some halos.(0);
       dst = Some dst;
-      streams;
+      streams = first_streams;
     };
-  let analytic_cycles, analytic_madds, frontend_stall_s, strip_widths =
-    compute_statement ~obs ~mode ~pool ~inner ~kernel ~tile ~hooks machine
-      compiled ~halo ~dst ~streams
+  let outputs =
+    List.mapi
+      (fun i (stmt, price) ->
+        let streams = if i = 0 then first_streams else fill stmt in
+        compute_statement ~obs ~compute ~pool ~tile ~hooks machine stmt price
+          ~halos ~dst ~streams;
+        Access.set_phase "gather";
+        Obs.span obs "run.gather" (fun () -> Dist.gather ~pool dst))
+      priced
   in
-  Access.set_phase "gather";
-  let output =
-    Obs.span obs "run.gather" (fun () -> Dist.gather ~pool dst)
+  let each, batch_stats =
+    set_stats config ~iterations
+      ~halo_cycles
+      ~global_points:(Grid.rows grids.(0) * Grid.cols grids.(0))
+      priced
   in
-  let stats =
-    build_stats config ~iterations ~comm_cycles:halo.Halo.cycles
-      ~call_s:(Config.effective_call_s config)
-      ~compute_cycles:analytic_cycles ~madds:analytic_madds ~frontend_stall_s
-      ~flops_per_point:(Pattern.useful_flops_per_point pattern)
-      ~global_points:(Dist.global_rows source * Dist.global_cols source)
-      ~strip_widths
-      ~corners_skipped:(not (Pattern.needs_corners pattern))
-  in
-  if Obs.tracing obs then
-    Tr.emit obs.Obs.trace
-      ~attrs:[ ("seconds", Tr.Float stats.Stats.frontend_s) ]
-      "run.frontend";
-  if obs != Obs.disabled then Stats.record obs.Obs.metrics stats;
-  { output; stats }
+  (* A one-shot run closes with its front-end time as a span of its
+     own; the engine's standing runs account it in their metrics. *)
+  (match placement with
+  | Transient _ when Obs.tracing obs ->
+      Tr.emit obs.Obs.trace
+        ~attrs:[ ("seconds", Tr.Float batch_stats.Stats.frontend_s) ]
+        "run.frontend"
+  | _ -> ());
+  if obs != Obs.disabled then Stats.record obs.Obs.metrics batch_stats;
+  {
+    batch_results = List.map2 (fun output stats -> { output; stats }) outputs each;
+    batch_stats;
+  }
+
+let single { batch_results; batch_stats } =
+  { output = (List.hd batch_results).output; stats = batch_stats }
 
 (* ------------------------------------------------------------------ *)
-(* The transform-domain path (PR 10): the fifth backend.  Same phase
-   structure as [run] — scatter, halo exchange, compute, gather, with
-   the same hook seam at each phase — but the compute phase is one
-   global circular convolution via the cached transform plan instead
-   of per-node strip walking.  The host assembles the global padded
-   frame from the exchanged node temporaries, so halo faults propagate
-   into the transform input exactly as they would into the microcode's
-   reads. *)
+(* Entry points: a placement, a statement set and a backend each. *)
 
-let run_fft ?(obs = Obs.disabled) ?(primitive = Halo.Node_level)
-    ?(iterations = 1) ?(pool = Pool.sequential) ?plan ?(hooks = no_hooks)
-    machine pattern env =
-  if iterations < 1 then invalid_arg "Exec.run_fft: iterations < 1";
-  let config = Machine.config machine in
+let run ?obs ?(mode = Fast) ?primitive ?iterations ?pool ?(inner = Lowered)
+    ?kernel ?tile ?hooks machine compiled env =
+  single
+    (pipeline ?obs ?primitive ?iterations ?pool ?tile ?hooks ~who:"Exec.run"
+       ~root:"run" ~compute:(Compiled (mode, inner)) (Transient machine)
+       [ stmt_of_compiled ?kernel compiled ]
+       env)
+
+let run_arena ?obs ?(mode = Fast) ?primitive ?iterations ?pool
+    ?(inner = Lowered) ?kernel ?tile ?hooks arena compiled env =
+  single
+    (pipeline ?obs ?primitive ?iterations ?pool ?tile ?hooks
+       ~who:"Exec.run_arena" ~root:"run" ~compute:(Compiled (mode, inner))
+       (Standing arena)
+       [ stmt_of_compiled ?kernel compiled ]
+       env)
+
+let run_fused ?obs ?(mode = Fast) ?primitive ?iterations ?pool
+    ?(inner = Lowered) ?tile machine fused env =
+  single
+    (pipeline ?obs ?primitive ?iterations ?pool ?tile ~who:"Exec.run_fused"
+       ~root:"run.fused" ~compute:(Compiled (mode, inner)) (Transient machine)
+       [ stmt_of_fused fused ] env)
+
+(* The transform path: the plan is resolved before any node memory is
+   touched, so a [Varying] or [Unbound] coefficient leaves no machine
+   state behind.  A caller-supplied (cached) plan is re-bound against
+   this call's environment; when the values already match, the cached
+   spectrum is reused untouched. *)
+let run_fft ?obs ?primitive ?iterations ?pool ?plan ?hooks machine pattern env
+    =
   Reference.check_env pattern env;
-  let source_grid = Reference.lookup env (Pattern.source_var pattern) in
-  let rows = Grid.rows source_grid and cols = Grid.cols source_grid in
-  (* Resolve the plan before touching node memory: a [Varying] or
-     [Unbound] coefficient must not leave machine state behind.  A
-     caller-supplied (cached) plan is re-bound against this call's
-     environment; when the values already match, the cached spectrum
-     is reused untouched. *)
+  let source = Reference.lookup env (Pattern.source_var pattern) in
+  let rows = Grid.rows source and cols = Grid.cols source in
   let fplan =
     match plan with
     | Some p ->
@@ -432,152 +717,162 @@ let run_fft ?(obs = Obs.disabled) ?(primitive = Halo.Node_level)
         p
     | None -> Fft.plan pattern ~rows ~cols env
   in
-  let watermark = Machine.alloc_all machine ~words:0 in
-  Obs.span obs "run" @@ fun () ->
-  Fun.protect ~finally:(fun () -> Machine.free_all_after machine watermark)
-  @@ fun () ->
-  Access.set_phase "scatter";
-  let source =
-    Obs.span obs "run.scatter" (fun () ->
-        Dist.scatter ~pool machine source_grid)
-  in
-  let sub_rows = source.Dist.sub_rows and sub_cols = source.Dist.sub_cols in
-  let pad = Pattern.max_border pattern in
-  if pad > sub_rows || pad > sub_cols then
-    raise (too_small pad ~sub_rows ~sub_cols);
-  let dst = Dist.create machine ~sub_rows ~sub_cols in
-  let needs_corners = Pattern.needs_corners pattern in
-  Access.set_phase "halo";
-  let halo =
-    Obs.span obs "run.halo" @@ fun () ->
-    let h =
-      Halo.exchange ~primitive ~pool ~source ~pad
-        ~boundary:(Pattern.boundary pattern)
-        ~needs_corners ()
-    in
-    if Obs.tracing obs then
-      Tr.add_attr obs.Obs.trace "cycles" (Tr.Int h.Halo.cycles);
-    h
-  in
-  hooks.on_phase
-    {
-      phase = "halo";
-      machine;
-      source = Some source;
-      halo = Some halo;
-      dst = Some dst;
-      streams = [||];
-    };
-  Access.set_phase "compute";
-  Obs.span obs "run.compute" (fun () ->
-      (* Assemble the global padded frame from the node temporaries.
-         Each node owns its subgrid's cells plus, on the machine's
-         edge, the adjoining frame cells — which its own halo holds
-         with boundary semantics already applied (wraparound values or
-         the end-off fill).  When corner sections were skipped, the
-         frame's corner blocks are zeroed rather than read: with no
-         diagonal taps their coefficients are zero (including under
-         the transform's mod-P aliasing — a corner cell can only reach
-         an output point at a doubly-negative offset), so zeros are
-         exact where the exchanged NaN poison would destroy the whole
-         spectrum. *)
-      let frame_rows = rows + (2 * pad) and frame_cols = cols + (2 * pad) in
-      let frame = Grid.create ~rows:frame_rows ~cols:frame_cols in
-      let fraw = Grid.raw frame in
-      let base = halo.Halo.padded.Memory.base in
-      let hpcols = halo.Halo.padded_cols in
-      let geometry = Machine.geometry machine in
-      let grows = Ccc_cm2.Geometry.rows geometry in
-      let gcols = Ccc_cm2.Geometry.cols geometry in
-      Pool.iter pool (Machine.node_count machine) (fun node ->
-          hooks.on_compute_node node;
-          Access.read "halo.node" (Dist.probe_slot machine node);
-          let mem = Machine.memory machine node in
-          let node_r, node_c = Ccc_cm2.Geometry.coord_of_node geometry node in
-          let r_lo = if node_r = 0 then -pad else node_r * sub_rows in
-          let r_hi =
-            if node_r = grows - 1 then rows + pad else (node_r + 1) * sub_rows
-          in
-          let c_lo = if node_c = 0 then -pad else node_c * sub_cols in
-          let c_hi =
-            if node_c = gcols - 1 then cols + pad else (node_c + 1) * sub_cols
-          in
-          for r0 = r_lo to r_hi - 1 do
-            let lr = r0 - (node_r * sub_rows) in
-            for c0 = c_lo to c_hi - 1 do
-              let lc = c0 - (node_c * sub_cols) in
-              let corner =
-                (r0 < 0 || r0 >= rows) && (c0 < 0 || c0 >= cols)
-              in
-              let v =
-                if corner && not needs_corners then 0.0
-                else
-                  Memory.read mem
-                    (base + ((lr + pad) * hpcols) + (lc + pad))
-              in
-              fraw.(((r0 + pad) * frame_cols) + (c0 + pad)) <- v
-            done
-          done);
-      let out = Fft.execute ~pool fplan ~padded:frame in
-      Dist.scatter_into ~pool dst out);
-  hooks.on_phase
-    {
-      phase = "compute";
-      machine;
-      source = None;
-      halo = Some halo;
-      dst = Some dst;
-      streams = [||];
-    };
-  Access.set_phase "gather";
-  let output = Obs.span obs "run.gather" (fun () -> Dist.gather ~pool dst) in
-  let fft_madds =
-    4
-    * (Cost.fft_butterflies ~rows ~cols ~pad
-      + Cost.fft_pointwise_bins ~rows ~cols ~pad)
-  in
-  let stats =
-    build_stats config ~iterations
-      ~comm_cycles:(halo.Halo.cycles + Cost.fft_comm_cycles config ~rows ~cols ~pad)
-      ~call_s:(Config.effective_call_s config)
-      ~compute_cycles:(Cost.fft_compute_cycles config ~rows ~cols ~pad)
-      ~madds:fft_madds ~frontend_stall_s:0.0
-      ~flops_per_point:(Pattern.useful_flops_per_point pattern)
-      ~global_points:(rows * cols) ~strip_widths:[]
-      ~corners_skipped:(not needs_corners)
-  in
-  if Obs.tracing obs then
-    Tr.emit obs.Obs.trace
-      ~attrs:[ ("seconds", Tr.Float stats.Stats.frontend_s) ]
-      "run.frontend";
-  if obs != Obs.disabled then Stats.record obs.Obs.metrics stats;
-  { output; stats }
+  single
+    (pipeline ?obs ?primitive ?iterations ?pool ?hooks ~who:"Exec.run_fft"
+       ~root:"run" ~compute:(Transform fplan) (Transient machine)
+       [ stmt_of_pattern pattern ] env)
 
-let estimate_fft ?(primitive = Halo.Node_level) ?(iterations = 1) ~sub_rows
-    ~sub_cols config pattern =
-  if iterations < 1 then invalid_arg "Exec.estimate_fft: iterations < 1";
-  let pad = Pattern.max_border pattern in
-  if pad > sub_rows || pad > sub_cols then
-    raise (too_small pad ~sub_rows ~sub_cols);
-  let rows = sub_rows * config.Config.node_rows
-  and cols = sub_cols * config.Config.node_cols in
-  let needs_corners = Pattern.needs_corners pattern in
-  let comm_cycles =
-    Halo.cycles_model ~primitive ~sub_rows ~sub_cols ~pad
-      ~corners:needs_corners config
-    + Cost.fft_comm_cycles config ~rows ~cols ~pad
+let check_batch patterns =
+  match patterns with
+  | [] -> Error "a batch needs at least one statement"
+  | first :: rest ->
+      let source_var = Pattern.source_var first in
+      let boundary = Pattern.boundary first in
+      let rec check = function
+        | [] -> Ok ()
+        | p :: rest ->
+            if Pattern.source_var p <> source_var then
+              Error
+                (Printf.sprintf
+                   "statements read %s and %s; a batch shares one source \
+                    array behind one halo exchange"
+                   source_var (Pattern.source_var p))
+            else if not (Boundary.equal (Pattern.boundary p) boundary) then
+              Error
+                "statements mix boundary semantics; a batch shares one halo \
+                 exchange"
+            else check rest
+      in
+      check rest
+
+let run_batch_arena ?obs ?(mode = Fast) ?primitive ?pool ?(inner = Lowered)
+    ?kernels ?tile arena compileds env =
+  (match check_batch (List.map (fun c -> c.Compile.pattern) compileds) with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Exec.run_batch_arena: " ^ m));
+  let kernels =
+    match kernels with
+    | None -> List.map (fun _ -> None) compileds
+    | Some ks ->
+        if List.length ks <> List.length compileds then
+          invalid_arg "Exec.run_batch_arena: one kernel per statement";
+        List.map Option.some ks
   in
-  build_stats config ~iterations ~comm_cycles
-    ~call_s:(Config.effective_call_s config)
-    ~compute_cycles:(Cost.fft_compute_cycles config ~rows ~cols ~pad)
-    ~madds:
-      (4
-      * (Cost.fft_butterflies ~rows ~cols ~pad
-        + Cost.fft_pointwise_bins ~rows ~cols ~pad))
-    ~frontend_stall_s:0.0
-    ~flops_per_point:(Pattern.useful_flops_per_point pattern)
-    ~global_points:(rows * cols) ~strip_widths:[]
-    ~corners_skipped:(not needs_corners)
+  let attrs =
+    match obs with
+    | Some o when Obs.tracing o ->
+        [ ("statements", Tr.Int (List.length compileds)) ]
+    | _ -> []
+  in
+  pipeline ?obs ?primitive ?pool ?tile ~attrs ~who:"Exec.run_batch_arena"
+    ~root:"run.batch" ~compute:(Compiled (mode, inner)) (Standing arena)
+    (List.map2 (fun kernel c -> stmt_of_compiled ?kernel c) kernels compileds)
+    env
+
+(* ------------------------------------------------------------------ *)
+(* Timing without data. *)
+
+(* The pricing prelude every estimate shares: fit the borders, walk the
+   strips and half-strips, total them, and price the exchanges. *)
+let model ~primitive ~transform ~sub_rows ~sub_cols config stmt =
+  let sources = source_set [ stmt ] in
+  check_fits sources ~sub_rows ~sub_cols;
+  let comm =
+    Array.fold_left
+      (fun acc s ->
+        acc
+        + Halo.cycles_model ~primitive ~sub_rows ~sub_cols ~pad:s.pad
+            ~corners:s.corners config)
+      0 sources
+  in
+  (price config ~transform stmt ~sub_rows ~sub_cols, comm)
+
+let estimate_stmt ~who ?(primitive = Halo.Node_level) ?(iterations = 1)
+    ~transform ~sub_rows ~sub_cols config stmt =
+  if iterations < 1 then invalid_arg (who ^ ": iterations < 1");
+  let p, comm = model ~primitive ~transform ~sub_rows ~sub_cols config stmt in
+  snd
+    (set_stats config ~iterations ~halo_cycles:comm
+       ~global_points:(sub_rows * sub_cols * Config.node_count config)
+       [ (stmt, p) ])
+
+let estimate ?primitive ?iterations ~sub_rows ~sub_cols config compiled =
+  estimate_stmt ~who:"Exec.estimate" ?primitive ?iterations ~transform:false
+    ~sub_rows ~sub_cols config (stmt_of_compiled compiled)
+
+let estimate_fused ?primitive ?iterations ~sub_rows ~sub_cols config fused =
+  estimate_stmt ~who:"Exec.estimate_fused" ?primitive ?iterations
+    ~transform:false ~sub_rows ~sub_cols config (stmt_of_fused fused)
+
+let estimate_fft ?primitive ?iterations ~sub_rows ~sub_cols config pattern =
+  estimate_stmt ~who:"Exec.estimate_fft" ?primitive ?iterations
+    ~transform:true ~sub_rows ~sub_cols config (stmt_of_pattern pattern)
+
+(* Per-phase cycle attribution: Table 1 as live telemetry. *)
+let attribute ?(primitive = Halo.Node_level) ~sub_rows ~sub_cols config
+    compiled =
+  let p, comm_cycles =
+    model ~primitive ~transform:false ~sub_rows ~sub_cols config
+      (stmt_of_compiled compiled)
+  in
+  {
+    Profiler.comm_cycles;
+    compute =
+      List.fold_left
+        (fun acc (hs : Stripmine.halfstrip) ->
+          Profiler.add acc
+            (Profiler.halfstrip config hs.strip.plan
+               ~lines:(Array.length hs.rows)))
+        Profiler.zero p.halfstrips;
+    frontend_s = Config.effective_call_s config +. p.stall_s;
+  }
+
+type backend = Auto | Force_compiled | Force_fft
+
+let backend_of_string = function
+  | "auto" -> Some Auto
+  | "compiled" -> Some Force_compiled
+  | "fft" -> Some Force_fft
+  | _ -> None
+
+let backend_name = function
+  | Auto -> "auto"
+  | Force_compiled -> "compiled"
+  | Force_fft -> "fft"
+
+(* The planner: a pure function of the configuration, the compiled
+   plans (if any) and the grid shape, so the choice is deterministic
+   and testable without a machine.  The compiled side prices with
+   [estimate] (the Table-1-calibrated model), the transform side with
+   [Cost.fft_cycles]; ties go to the compiled path, whose results are
+   bit-identical to the simulator. *)
+let select_backend ?(backend = Auto) ~sub_rows ~sub_cols config compiled =
+  match (backend, compiled) with
+  | Force_compiled, _ -> `Compiled
+  | Force_fft, _ -> `Fft
+  | Auto, None -> `Fft
+  | Auto, Some c -> (
+      match estimate ~sub_rows ~sub_cols config c with
+      | exception Too_small _ ->
+          (* Neither path fits a subgrid smaller than the border; defer
+             to the compiled path so the run reports the [Too_small]
+             diagnosis rather than pricing an impossible transform. *)
+          `Compiled
+      | s ->
+          let pattern = c.Compile.pattern in
+          let pad = Pattern.max_border pattern in
+          let rows = sub_rows * config.Config.node_rows
+          and cols = sub_cols * config.Config.node_cols in
+          if
+            s.Stats.comm_cycles + s.Stats.compute_cycles
+            <= Cost.fft_cycles config ~rows ~cols ~pad
+          then `Compiled
+          else `Fft)
+
+(* ------------------------------------------------------------------ *)
+(* Oracles and teaching aids. *)
+
+let reference_fused = Reference.apply_multi
 
 let trace ?width ?(lines = 3) (config : Config.t) compiled =
   let plan, how =
@@ -650,717 +945,3 @@ let trace ?width ?(lines = 3) (config : Config.t) compiled =
          in
          Printf.sprintf "cycle %4d  row %2d  %s" cycle row slot)
        (Tr.span_children root)
-
-let run_padded ?obs ?mode ?primitive ?iterations ?pool ?inner machine compiled
-    env =
-  let config = Machine.config machine in
-  let pattern = compiled.Compile.pattern in
-  let fill =
-    match Pattern.boundary pattern with
-    | Ccc_stencil.Boundary.End_off fill -> fill
-    | Ccc_stencil.Boundary.Circular ->
-        invalid_arg
-          "Exec.run_padded: a circular stencil would wrap through the \
-           padding; use Exec.run with evenly dividing shapes"
-  in
-  Reference.check_env pattern env;
-  let source = Reference.lookup env (Pattern.source_var pattern) in
-  let rows = Grid.rows source and cols = Grid.cols source in
-  let round_up v n = (v + n - 1) / n * n in
-  let rows' = round_up rows config.Config.node_rows in
-  let cols' = round_up cols config.Config.node_cols in
-  if rows' = rows && cols' = cols then
-    run ?obs ?mode ?primitive ?iterations ?pool ?inner machine compiled env
-  else begin
-    (* Grow every array with the boundary fill (the source) or zeros
-       (coefficients: padding points produce values we crop anyway). *)
-    let grow fill_value g =
-      Grid.init ~rows:rows' ~cols:cols' (fun r c ->
-          if r < rows && c < cols then Grid.get g r c else fill_value)
-    in
-    let source_name = Pattern.source_var pattern in
-    let env' =
-      List.map
-        (fun (name, g) ->
-          (name, grow (if name = source_name then fill else 0.0) g))
-        env
-    in
-    let { output; stats } =
-      run ?obs ?mode ?primitive ?iterations ?pool ?inner machine compiled env'
-    in
-    let cropped = Grid.init ~rows ~cols (fun r c -> Grid.get output r c) in
-    (* The padded points below/right of the true edge read the fill
-       value through EOSHIFT semantics either way, so the cropped
-       region is exact... except that true-edge points whose taps
-       reach into the padding must see [fill]; they do, because the
-       grown source holds [fill] there.  Flop accounting keeps the
-       padded size: the machine really computed those points. *)
-    { output = cropped; stats }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The fused multi-source path. *)
-
-let reference_fused (multi : Ccc_stencil.Multi.t) env =
-  let arrays = Ccc_stencil.Multi.referenced_arrays multi in
-  let first = Reference.lookup env (List.hd arrays) in
-  let rows = Grid.rows first and cols = Grid.cols first in
-  List.iter
-    (fun name ->
-      let g = Reference.lookup env name in
-      if Grid.rows g <> rows || Grid.cols g <> cols then
-        raise
-          (Reference.Shape_mismatch
-             (Printf.sprintf "%s is %dx%d, expected %dx%d" name (Grid.rows g)
-                (Grid.cols g) rows cols)))
-    arrays;
-  let sources =
-    Array.of_list
-      (List.map (Reference.lookup env) (Ccc_stencil.Multi.sources multi))
-  in
-  let read =
-    match Ccc_stencil.Multi.boundary multi with
-    | Ccc_stencil.Boundary.Circular ->
-        fun src r c -> Grid.get_circular sources.(src) r c
-    | Ccc_stencil.Boundary.End_off fill ->
-        fun src r c -> Grid.get_endoff sources.(src) ~fill r c
-  in
-  Grid.init ~rows ~cols (fun r c ->
-      let sum =
-        List.fold_left
-          (fun acc (st : Ccc_stencil.Multi.source_tap) ->
-            let { Ccc_stencil.Offset.drow; dcol } =
-              st.Ccc_stencil.Multi.tap.Ccc_stencil.Tap.offset
-            in
-            acc
-            +. Reference.coeff_value env
-                 st.Ccc_stencil.Multi.tap.Ccc_stencil.Tap.coeff r c
-               *. read st.Ccc_stencil.Multi.source (r + drow) (c + dcol))
-          0.0
-          (Ccc_stencil.Multi.taps multi)
-      in
-      match Ccc_stencil.Multi.bias multi with
-      | Some coeff -> sum +. Reference.coeff_value env coeff r c
-      | None -> sum)
-
-(* Direct evaluation of one node's subgrid from the per-source padded
-   temporaries: the fast inner loop of the fused path. *)
-let fast_node_compute_fused multi ~(halos : Halo.exchange array)
-    ~(dst : Dist.t) ~(streams : Dist.t array) ~node mem =
-  let sub_rows = dst.Dist.sub_rows and sub_cols = dst.Dist.sub_cols in
-  let taps = Ccc_stencil.Multi.taps multi in
-  let ntaps = List.length taps in
-  for r = 0 to sub_rows - 1 do
-    for c = 0 to sub_cols - 1 do
-      let sum = ref 0.0 in
-      List.iteri
-        (fun i (st : Ccc_stencil.Multi.source_tap) ->
-          let { Ccc_stencil.Offset.drow; dcol } =
-            st.Ccc_stencil.Multi.tap.Ccc_stencil.Tap.offset
-          in
-          let halo = halos.(st.Ccc_stencil.Multi.source) in
-          let pad = halo.Halo.pad and pcols = halo.Halo.padded_cols in
-          let v =
-            Memory.read mem
-              (halo.Halo.padded.Memory.base
-              + ((r + drow + pad) * pcols)
-              + (c + dcol + pad))
-          in
-          let coeff = Dist.local_get streams.(i) ~node ~row:r ~col:c in
-          sum := !sum +. (coeff *. v))
-        taps;
-      (match Ccc_stencil.Multi.bias multi with
-      | Some _ ->
-          sum := !sum +. Dist.local_get streams.(ntaps) ~node ~row:r ~col:c
-      | None -> ());
-      Dist.local_set dst ~node ~row:r ~col:c !sum
-    done
-  done
-
-let fused_comm ~primitive multi ~scattered () =
-  (* One exchange per source, serialized (the grid wires are shared);
-     a source with zero border still allocates its unpadded copy. *)
-  let halos =
-    Array.of_list
-      (List.mapi
-         (fun src source ->
-           Halo.exchange ~primitive ~source
-             ~pad:(Ccc_stencil.Multi.max_border multi src)
-             ~boundary:(Ccc_stencil.Multi.boundary multi)
-             ~needs_corners:(Ccc_stencil.Multi.needs_corners multi src)
-             ())
-         scattered)
-  in
-  let cycles = Array.fold_left (fun acc h -> acc + h.Halo.cycles) 0 halos in
-  (halos, cycles)
-
-let fused_comm_cycles ~primitive multi ~sub_rows ~sub_cols config =
-  List.fold_left ( + ) 0
-    (List.init (Ccc_stencil.Multi.source_count multi) (fun src ->
-         Halo.cycles_model ~primitive ~sub_rows ~sub_cols
-           ~pad:(Ccc_stencil.Multi.max_border multi src)
-           ~corners:(Ccc_stencil.Multi.needs_corners multi src)
-           config))
-
-let check_fused_fits multi ~sub_rows ~sub_cols =
-  List.iteri
-    (fun src _ ->
-      let pad = Ccc_stencil.Multi.max_border multi src in
-      if pad > sub_rows || pad > sub_cols then
-        raise
-          (Too_small
-             (Printf.sprintf
-                "source %s: border width %d exceeds the %dx%d per-node subgrid"
-                (List.nth (Ccc_stencil.Multi.sources multi) src)
-                pad sub_rows sub_cols)))
-    (Ccc_stencil.Multi.sources multi)
-
-let run_fused ?(obs = Obs.disabled) ?(mode = Fast)
-    ?(primitive = Halo.Node_level) ?(iterations = 1) ?(pool = Pool.sequential)
-    ?(inner = Lowered) ?tile machine (fused : Compile.fused) env =
-  if iterations < 1 then invalid_arg "Exec.run_fused: iterations < 1";
-  let config = Machine.config machine in
-  let tile = Option.value tile ~default:config.Config.tile in
-  let multi = fused.Compile.multi in
-  let first_source = List.hd (Ccc_stencil.Multi.sources multi) in
-  let source_grid = Reference.lookup env first_source in
-  let watermark = Machine.alloc_all machine ~words:0 in
-  Obs.span obs "run.fused" @@ fun () ->
-  Fun.protect ~finally:(fun () -> Machine.free_all_after machine watermark)
-  @@ fun () ->
-  let scattered =
-    Obs.span obs "run.scatter" @@ fun () ->
-    List.map
-      (fun name -> Dist.scatter ~pool machine (Reference.lookup env name))
-      (Ccc_stencil.Multi.sources multi)
-  in
-  let first = List.hd scattered in
-  let sub_rows = first.Dist.sub_rows and sub_cols = first.Dist.sub_cols in
-  check_fused_fits multi ~sub_rows ~sub_cols;
-  let streams =
-    Obs.span obs "run.streams" (fun () ->
-        materialize_streams ~pool machine env ~sub_rows ~sub_cols
-          (Compile.fused_widest fused).Plan.coeff_streams)
-  in
-  let dst = Dist.create machine ~sub_rows ~sub_cols in
-  let halos, comm_cycles =
-    Obs.span obs "run.halo" @@ fun () ->
-    let h, c = fused_comm ~primitive multi ~scattered () in
-    if Obs.tracing obs then Tr.add_attr obs.Obs.trace "cycles" (Tr.Int c);
-    (h, c)
-  in
-  let strips =
-    Stripmine.strips_of_plans fused.Compile.fused_plans ~sub_cols
-  in
-  let halfstrips =
-    List.concat_map (fun s -> Stripmine.halfstrips s ~sub_rows) strips
-  in
-  let analytic_cycles, analytic_madds, frontend_stall_s =
-    analytic_totals config halfstrips
-  in
-  Obs.span obs "run.compute" (fun () ->
-      if Obs.tracing obs then
-        Tr.add_attr obs.Obs.trace "cycles" (Tr.Int analytic_cycles);
-      match mode with
-  | Fast -> begin
-      match inner with
-      | Lowered ->
-          let k = Kernel.lower_multi multi in
-          let spec = specialize_kernel k machine ~tile ~halos ~dst ~streams in
-          let ntiles = Kernel.tile_count spec in
-          Pool.iter pool
-            (Machine.node_count machine * ntiles)
-            (fun item ->
-              Kernel.exec_tile spec (item mod ntiles)
-                (Memory.raw (Machine.memory machine (item / ntiles))))
-      | Tapwalk ->
-          Pool.iter pool (Machine.node_count machine) (fun node ->
-              fast_node_compute_fused multi ~halos ~dst ~streams ~node
-                (Machine.memory machine node))
-    end
-  | Simulate ->
-      List.iter
-        (Ccc_analysis.Verify.verify_exn config)
-        fused.Compile.fused_plans;
-      let nnodes = Machine.node_count machine in
-      let outcomes = Array.make nnodes Interp.zero_outcome in
-      Pool.iter pool nnodes (fun node ->
-          let mem = Machine.memory machine node in
-          let bindings =
-            {
-              Interp.memory = mem;
-              sources =
-                Array.map
-                  (fun (h : Halo.exchange) ->
-                    {
-                      Interp.padded = h.Halo.padded;
-                      padded_cols = h.Halo.padded_cols;
-                      pad = h.Halo.pad;
-                    })
-                  halos;
-              dst = dst.Dist.region;
-              dst_cols = sub_cols;
-              coeffs = Array.map (fun d -> d.Dist.region) streams;
-            }
-          in
-          outcomes.(node) <-
-            List.fold_left
-              (fun acc (hs : Stripmine.halfstrip) ->
-                Interp.add_outcome acc
-                  (Interp.run_halfstrip config hs.strip.plan bindings
-                     ~col0:hs.strip.col0 ~rows:hs.rows))
-              Interp.zero_outcome halfstrips);
-      Array.iteri
-        (fun node (total : Interp.outcome) ->
-          if total.Interp.cycles <> analytic_cycles then
-            failwith
-              (Printf.sprintf
-                 "Exec.run_fused: node %d: interpreter took %d cycles, model \
-                  predicts %d"
-                 node total.Interp.cycles analytic_cycles))
-        outcomes);
-  let output = Obs.span obs "run.gather" (fun () -> Dist.gather ~pool dst) in
-  let corners_skipped =
-    not
-      (List.exists
-         (fun src -> Ccc_stencil.Multi.needs_corners multi src)
-         (List.init (Ccc_stencil.Multi.source_count multi) Fun.id))
-  in
-  let stats =
-    build_stats config ~iterations ~comm_cycles
-      ~call_s:(Config.effective_call_s config)
-      ~compute_cycles:analytic_cycles ~madds:analytic_madds ~frontend_stall_s
-      ~flops_per_point:(Ccc_stencil.Multi.useful_flops_per_point multi)
-      ~global_points:(Grid.rows source_grid * Grid.cols source_grid)
-      ~strip_widths:
-        (List.map (fun (s : Stripmine.strip) -> s.plan.Plan.width) strips)
-      ~corners_skipped
-  in
-  if obs != Obs.disabled then Stats.record obs.Obs.metrics stats;
-  { output; stats }
-
-let estimate_fused ?(primitive = Halo.Node_level) ?(iterations = 1) ~sub_rows
-    ~sub_cols config (fused : Compile.fused) =
-  if iterations < 1 then invalid_arg "Exec.estimate_fused: iterations < 1";
-  let multi = fused.Compile.multi in
-  check_fused_fits multi ~sub_rows ~sub_cols;
-  let strips =
-    Stripmine.strips_of_plans fused.Compile.fused_plans ~sub_cols
-  in
-  let halfstrips =
-    List.concat_map (fun s -> Stripmine.halfstrips s ~sub_rows) strips
-  in
-  let compute_cycles, madds, frontend_stall_s =
-    analytic_totals config halfstrips
-  in
-  let comm_cycles =
-    fused_comm_cycles ~primitive multi ~sub_rows ~sub_cols config
-  in
-  let corners_skipped =
-    not
-      (List.exists
-         (fun src -> Ccc_stencil.Multi.needs_corners multi src)
-         (List.init (Ccc_stencil.Multi.source_count multi) Fun.id))
-  in
-  build_stats config ~iterations ~comm_cycles
-    ~call_s:(Config.effective_call_s config) ~compute_cycles ~madds
-    ~frontend_stall_s
-    ~flops_per_point:(Ccc_stencil.Multi.useful_flops_per_point multi)
-    ~global_points:(sub_rows * sub_cols * Config.node_count config)
-    ~strip_widths:
-      (List.map (fun (s : Stripmine.strip) -> s.plan.Plan.width) strips)
-    ~corners_skipped
-
-(* ------------------------------------------------------------------ *)
-(* Arena-backed execution: the persistent-engine entry points. *)
-
-module Arena = struct
-  type slot = {
-    profile : int * int * int * int;
-        (* sub_rows, sub_cols, pad, stream count *)
-    src : Dist.t;
-    streams : Dist.t array;
-    dst : Dist.t;
-    halo_region : Memory.region;
-  }
-
-  type t = {
-    machine : Machine.t;
-    floor : Memory.region;
-    mutable slot : slot option;
-    mutable reuses : int;
-    mutable rebuilds : int;
-  }
-
-  let create machine =
-    {
-      machine;
-      floor = Machine.alloc_all machine ~words:0;
-      slot = None;
-      reuses = 0;
-      rebuilds = 0;
-    }
-
-  let machine t = t.machine
-  let reuses t = t.reuses
-  let rebuilds t = t.rebuilds
-
-  (* The node memories are bump allocators, so the arena keeps exactly
-     one standing shape profile: a request for the same profile reuses
-     every region in place, and any other profile frees back to the
-     floor watermark and rebuilds.  Callers rewrite every word of every
-     region before reading (scatter_into / fill / exchange_into), so
-     reuse cannot observe a previous call's data. *)
-  let acquire t ~sub_rows ~sub_cols ~pad ~nstreams =
-    let profile = (sub_rows, sub_cols, pad, nstreams) in
-    match t.slot with
-    | Some slot when slot.profile = profile ->
-        t.reuses <- t.reuses + 1;
-        slot
-    | _ ->
-        Machine.free_all_after t.machine t.floor;
-        let src = Dist.create t.machine ~sub_rows ~sub_cols in
-        let streams =
-          Array.init nstreams (fun _ ->
-              Dist.create t.machine ~sub_rows ~sub_cols)
-        in
-        let dst = Dist.create t.machine ~sub_rows ~sub_cols in
-        let halo_region =
-          Machine.alloc_all t.machine
-            ~words:((sub_rows + (2 * pad)) * (sub_cols + (2 * pad)))
-        in
-        let slot = { profile; src; streams; dst; halo_region } in
-        t.slot <- Some slot;
-        t.rebuilds <- t.rebuilds + 1;
-        slot
-
-  let reset t =
-    Machine.free_all_after t.machine t.floor;
-    t.slot <- None
-end
-
-(* Refill standing stream regions from the host environment.  Unlike
-   [materialize_streams] this does not alias repeated array names to
-   one region — the regions are pre-allocated per stream slot — but
-   the values written are identical, so outputs are bit-identical. *)
-let refill_streams ~pool env (dists : Dist.t array) streams =
-  Array.iteri
-    (fun i coeff ->
-      match coeff with
-      | Coeff.Array name ->
-          Dist.scatter_into ~pool dists.(i) (Reference.lookup env name)
-      | Coeff.Scalar v -> Dist.fill ~pool dists.(i) v
-      | Coeff.One -> Dist.fill ~pool dists.(i) 1.0)
-    streams
-
-let arena_shape (config : Config.t) ~who grid =
-  let grows = Grid.rows grid and gcols = Grid.cols grid in
-  let nrows = config.Config.node_rows and ncols = config.Config.node_cols in
-  if grows mod nrows <> 0 || gcols mod ncols <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "%s: %dx%d array does not divide over a %dx%d node grid" who grows
-         gcols nrows ncols);
-  (grows / nrows, gcols / ncols)
-
-let run_arena ?(obs = Obs.disabled) ?(mode = Fast)
-    ?(primitive = Halo.Node_level) ?(iterations = 1) ?(pool = Pool.sequential)
-    ?(inner = Lowered) ?kernel ?tile ?(hooks = no_hooks) arena compiled env =
-  if iterations < 1 then invalid_arg "Exec.run_arena: iterations < 1";
-  let machine = Arena.machine arena in
-  let config = Machine.config machine in
-  let tile = Option.value tile ~default:config.Config.tile in
-  let pattern = compiled.Compile.pattern in
-  Reference.check_env pattern env;
-  let source_grid = Reference.lookup env (Pattern.source_var pattern) in
-  let sub_rows, sub_cols =
-    arena_shape config ~who:"Exec.run_arena" source_grid
-  in
-  let pad = Pattern.max_border pattern in
-  if pad > sub_rows || pad > sub_cols then
-    raise (too_small pad ~sub_rows ~sub_cols);
-  Obs.span obs "run" @@ fun () ->
-  let spec = plan_streams compiled in
-  let slot =
-    Arena.acquire arena ~sub_rows ~sub_cols ~pad
-      ~nstreams:(Array.length spec)
-  in
-  Access.set_phase "scatter";
-  Obs.span obs "run.scatter" (fun () ->
-      Dist.scatter_into ~pool slot.Arena.src source_grid);
-  Obs.span obs "run.streams" (fun () ->
-      refill_streams ~pool env slot.Arena.streams spec);
-  Access.set_phase "halo";
-  let halo =
-    Obs.span obs "run.halo" @@ fun () ->
-    let h =
-      Halo.exchange_into ~primitive ~pool ~padded:slot.Arena.halo_region
-        ~source:slot.Arena.src ~pad
-        ~boundary:(Pattern.boundary pattern)
-        ~needs_corners:(Pattern.needs_corners pattern) ()
-    in
-    if Obs.tracing obs then
-      Tr.add_attr obs.Obs.trace "cycles" (Tr.Int h.Halo.cycles);
-    h
-  in
-  hooks.on_phase
-    {
-      phase = "halo";
-      machine;
-      source = Some slot.Arena.src;
-      halo = Some halo;
-      dst = Some slot.Arena.dst;
-      streams = slot.Arena.streams;
-    };
-  let analytic_cycles, analytic_madds, frontend_stall_s, strip_widths =
-    compute_statement ~obs ~mode ~pool ~inner ~kernel ~tile ~hooks machine
-      compiled ~halo ~dst:slot.Arena.dst ~streams:slot.Arena.streams
-  in
-  Access.set_phase "gather";
-  let output =
-    Obs.span obs "run.gather" (fun () -> Dist.gather ~pool slot.Arena.dst)
-  in
-  let stats =
-    build_stats config ~iterations ~comm_cycles:halo.Halo.cycles
-      ~call_s:(Config.effective_call_s config)
-      ~compute_cycles:analytic_cycles ~madds:analytic_madds ~frontend_stall_s
-      ~flops_per_point:(Pattern.useful_flops_per_point pattern)
-      ~global_points:(Grid.rows source_grid * Grid.cols source_grid)
-      ~strip_widths
-      ~corners_skipped:(not (Pattern.needs_corners pattern))
-  in
-  if obs != Obs.disabled then Stats.record obs.Obs.metrics stats;
-  { output; stats }
-
-type batch = { batch_results : result list; batch_stats : Stats.t }
-
-let run_batch_arena ?(obs = Obs.disabled) ?(mode = Fast)
-    ?(primitive = Halo.Node_level) ?(pool = Pool.sequential)
-    ?(inner = Lowered) ?kernels ?tile arena compileds env =
-  if compileds = [] then invalid_arg "Exec.run_batch_arena: empty batch";
-  let kernels =
-    match kernels with
-    | None -> List.map (fun _ -> None) compileds
-    | Some ks ->
-        if List.length ks <> List.length compileds then
-          invalid_arg "Exec.run_batch_arena: one kernel per statement";
-        List.map Option.some ks
-  in
-  let machine = Arena.machine arena in
-  let config = Machine.config machine in
-  let tile = Option.value tile ~default:config.Config.tile in
-  let patterns = List.map (fun c -> c.Compile.pattern) compileds in
-  let first = List.hd patterns in
-  let source_var = Pattern.source_var first in
-  let boundary = Pattern.boundary first in
-  List.iter
-    (fun p ->
-      if Pattern.source_var p <> source_var then
-        invalid_arg
-          (Printf.sprintf
-             "Exec.run_batch_arena: statements read %s and %s; a batch \
-              shares one source array behind one halo exchange"
-             source_var (Pattern.source_var p));
-      if not (Boundary.equal (Pattern.boundary p) boundary) then
-        invalid_arg
-          "Exec.run_batch_arena: statements mix boundary semantics; a batch \
-           shares one halo exchange")
-    patterns;
-  List.iter (fun p -> Reference.check_env p env) patterns;
-  let source_grid = Reference.lookup env source_var in
-  let sub_rows, sub_cols =
-    arena_shape config ~who:"Exec.run_batch_arena" source_grid
-  in
-  (* One exchange padded to the widest statement: a narrower pattern
-     reads strictly inside the border, and the corner sections are
-     fetched (rather than NaN-poisoned) if any statement needs them. *)
-  let pad =
-    List.fold_left (fun acc p -> max acc (Pattern.max_border p)) 0 patterns
-  in
-  if pad > sub_rows || pad > sub_cols then
-    raise (too_small pad ~sub_rows ~sub_cols);
-  let needs_corners = List.exists Pattern.needs_corners patterns in
-  let nstreams =
-    List.fold_left
-      (fun acc c -> max acc (Array.length (plan_streams c)))
-      0 compileds
-  in
-  Obs.span obs "run.batch"
-    ~attrs:
-      (if Obs.tracing obs then
-         [ ("statements", Tr.Int (List.length compileds)) ]
-       else [])
-  @@ fun () ->
-  let slot = Arena.acquire arena ~sub_rows ~sub_cols ~pad ~nstreams in
-  Access.set_phase "scatter";
-  Obs.span obs "run.scatter" (fun () ->
-      Dist.scatter_into ~pool slot.Arena.src source_grid);
-  Access.set_phase "halo";
-  let halo =
-    Obs.span obs "run.halo" @@ fun () ->
-    let h =
-      Halo.exchange_into ~primitive ~pool ~padded:slot.Arena.halo_region
-        ~source:slot.Arena.src ~pad ~boundary ~needs_corners ()
-    in
-    if Obs.tracing obs then
-      Tr.add_attr obs.Obs.trace "cycles" (Tr.Int h.Halo.cycles);
-    h
-  in
-  let global_points = Grid.rows source_grid * Grid.cols source_grid in
-  let batch_results =
-    List.map2
-      (fun compiled kernel ->
-        let pattern = compiled.Compile.pattern in
-        let spec = plan_streams compiled in
-        let streams = Array.sub slot.Arena.streams 0 (Array.length spec) in
-        Access.set_phase "batch";
-        Obs.span obs "run.streams" (fun () ->
-            refill_streams ~pool env streams spec);
-        let analytic_cycles, analytic_madds, frontend_stall_s, strip_widths =
-          compute_statement ~obs ~mode ~pool ~inner ~kernel ~tile
-            ~hooks:no_hooks machine compiled ~halo ~dst:slot.Arena.dst ~streams
-        in
-        (* The destination region is shared across the batch, so gather
-           each statement's result before the next one overwrites it.
-           Communication and the per-call launch cost are paid once for
-           the whole batch and reported in [batch_stats]; a statement's
-           own stats carry only its compute and dispatch stalls. *)
-        Access.set_phase "gather";
-        let output =
-          Obs.span obs "run.gather" (fun () ->
-              Dist.gather ~pool slot.Arena.dst)
-        in
-        let stats =
-          build_stats config ~iterations:1 ~comm_cycles:0 ~call_s:0.0
-            ~compute_cycles:analytic_cycles ~madds:analytic_madds
-            ~frontend_stall_s
-            ~flops_per_point:(Pattern.useful_flops_per_point pattern)
-            ~global_points ~strip_widths
-            ~corners_skipped:(not (Pattern.needs_corners pattern))
-        in
-        { output; stats })
-      compileds kernels
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r.stats) 0 batch_results in
-  let sumf f =
-    List.fold_left (fun acc r -> acc +. f r.stats) 0.0 batch_results
-  in
-  let batch_stats =
-    build_stats config ~iterations:1 ~comm_cycles:halo.Halo.cycles
-      ~call_s:(Config.effective_call_s config)
-      ~compute_cycles:(sum (fun s -> s.Stats.compute_cycles))
-      ~madds:(sum (fun s -> s.Stats.madds_issued))
-      ~frontend_stall_s:(sumf (fun s -> s.Stats.frontend_s))
-      ~flops_per_point:
-        (List.fold_left
-           (fun acc p -> acc + Pattern.useful_flops_per_point p)
-           0 patterns)
-      ~global_points
-      ~strip_widths:
-        (List.concat_map (fun r -> r.stats.Stats.strip_widths) batch_results)
-      ~corners_skipped:(not needs_corners)
-  in
-  if obs != Obs.disabled then Stats.record obs.Obs.metrics batch_stats;
-  { batch_results; batch_stats }
-
-let estimate ?(primitive = Halo.Node_level) ?(iterations = 1) ~sub_rows
-    ~sub_cols config compiled =
-  if iterations < 1 then invalid_arg "Exec.estimate: iterations < 1";
-  let pattern = compiled.Compile.pattern in
-  let pad = Pattern.max_border pattern in
-  if pad > sub_rows || pad > sub_cols then
-    raise (too_small pad ~sub_rows ~sub_cols);
-  let strips = Stripmine.strips compiled ~sub_cols in
-  let halfstrips =
-    List.concat_map (fun s -> Stripmine.halfstrips s ~sub_rows) strips
-  in
-  let compute_cycles, madds, frontend_stall_s =
-    analytic_totals config halfstrips
-  in
-  let needs_corners = Pattern.needs_corners pattern in
-  let comm_cycles =
-    Halo.cycles_model ~primitive ~sub_rows ~sub_cols ~pad
-      ~corners:needs_corners config
-  in
-  build_stats config ~iterations ~comm_cycles
-    ~call_s:(Config.effective_call_s config) ~compute_cycles ~madds
-    ~frontend_stall_s
-    ~flops_per_point:(Pattern.useful_flops_per_point pattern)
-    ~global_points:(sub_rows * sub_cols * Config.node_count config)
-    ~strip_widths:(List.map (fun (s : Stripmine.strip) ->
-         s.plan.Plan.width) strips)
-    ~corners_skipped:(not needs_corners)
-
-type backend = Auto | Force_compiled | Force_fft
-
-let backend_of_string = function
-  | "auto" -> Some Auto
-  | "compiled" -> Some Force_compiled
-  | "fft" -> Some Force_fft
-  | _ -> None
-
-let backend_name = function
-  | Auto -> "auto"
-  | Force_compiled -> "compiled"
-  | Force_fft -> "fft"
-
-(* The planner: a pure function of the configuration, the compiled
-   plans (if any) and the grid shape, so the choice is deterministic
-   and testable without a machine.  The compiled side prices with
-   [estimate] (the Table-1-calibrated model), the transform side with
-   [Cost.fft_cycles]; ties go to the compiled path, whose results are
-   bit-identical to the simulator. *)
-let select_backend ?(backend = Auto) ~sub_rows ~sub_cols config compiled =
-  match (backend, compiled) with
-  | Force_compiled, _ -> `Compiled
-  | Force_fft, _ -> `Fft
-  | Auto, None -> `Fft
-  | Auto, Some c -> (
-      match estimate ~sub_rows ~sub_cols config c with
-      | exception Too_small _ ->
-          (* Neither path fits a subgrid smaller than the border; defer
-             to the compiled path so the run reports the [Too_small]
-             diagnosis rather than pricing an impossible transform. *)
-          `Compiled
-      | s ->
-          let pattern = c.Compile.pattern in
-          let pad = Pattern.max_border pattern in
-          let rows = sub_rows * config.Config.node_rows
-          and cols = sub_cols * config.Config.node_cols in
-          if
-            s.Stats.comm_cycles + s.Stats.compute_cycles
-            <= Cost.fft_cycles config ~rows ~cols ~pad
-          then `Compiled
-          else `Fft)
-
-(* ------------------------------------------------------------------ *)
-(* Per-phase cycle attribution: Table 1 as live telemetry. *)
-
-let attribute ?(primitive = Halo.Node_level) ~sub_rows ~sub_cols config
-    compiled =
-  let pattern = compiled.Compile.pattern in
-  let pad = Pattern.max_border pattern in
-  if pad > sub_rows || pad > sub_cols then
-    raise (too_small pad ~sub_rows ~sub_cols);
-  let strips = Stripmine.strips compiled ~sub_cols in
-  let halfstrips =
-    List.concat_map (fun s -> Stripmine.halfstrips s ~sub_rows) strips
-  in
-  let compute =
-    List.fold_left
-      (fun acc (hs : Stripmine.halfstrip) ->
-        Profiler.add acc
-          (Profiler.halfstrip config hs.strip.plan
-             ~lines:(Array.length hs.rows)))
-      Profiler.zero halfstrips
-  in
-  let _, _, frontend_stall_s = analytic_totals config halfstrips in
-  let comm_cycles =
-    Halo.cycles_model ~primitive ~sub_rows ~sub_cols ~pad
-      ~corners:(Pattern.needs_corners pattern) config
-  in
-  {
-    Profiler.comm_cycles;
-    compute;
-    frontend_s = Config.effective_call_s config +. frontend_stall_s;
-  }

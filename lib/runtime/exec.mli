@@ -2,31 +2,35 @@
     arrays, perform all interprocessor communication up front, then
     drive the microcode over strips and half-strips.
 
-    Two execution modes share every phase except the inner loop:
+    That loop is written once, as one staged pipeline: acquire
+    placement, scatter the sources, fill the coefficient streams,
+    exchange halos (the ["halo"] hook), compute (the ["compute"] hook),
+    gather, then fold the statistics into the observability context.
+    Every entry point below is that pipeline with three choices made:
 
-    - [Simulate] runs the cycle-accurate microcode interpreter against
-      the FPU pipeline model on every node — the mode the correctness
-      tests use, and the mode that validates the analytic cycle model;
-    - [Fast] computes the same data directly from each node's padded
-      temporaries and prices the inner loop with {!Ccc_microcode.Cost}
-      (which [Simulate] provably matches), so large benchmark
-      configurations run in reasonable host time.
+    - {b placement}: a transient arena over the caller's machine,
+      released before returning ({!run}, {!run_fused}, {!run_fft}), or
+      an engine's standing {!Arena} ({!run_arena}, {!run_batch_arena});
+    - {b statement set}: one statement, a same-source batch sharing one
+      halo exchange ({!run_batch_arena}), or one fused multi-source
+      statement with one exchange per source ({!run_fused}) — a single
+      statement is a batch of one;
+    - {b compute backend}: [Simulate] runs the cycle-accurate microcode
+      interpreter on every node and asserts Cost = Interp; [Fast]
+      computes the same data with the [Lowered] {!Kernel} walk (default)
+      or the bounds-checked [Tapwalk] baseline, priced by
+      {!Ccc_microcode.Cost} (which [Simulate] provably matches); the
+      transform backend ({!run_fft}) convolves through an {!Fft} plan.
 
-    Both modes report identical statistics.
-
-    Two host-side levers speed the per-node work without changing any
-    result bit: [inner] selects the Fast inner loop (the precompiled
-    {!Kernel} offset walk by default, or the original bounds-checked
-    tapwalk as the measurable baseline), and [pool] runs the per-node
-    loops — compute, scatter/gather, halo fill — across a {!Pool} of
-    domains.  The [Lowered] inner loop additionally blocks each node's
-    subgrid into [tile]-sized tiles (default
-    {!Ccc_cm2.Config.t}[.tile]): the pool's shared queue schedules
-    (node, tile) items instead of whole nodes, so jobs can outnumber
-    nodes and an expensive node no longer serializes its whole
-    subgrid.  Outputs are bit-identical across all four combinations,
-    every jobs value and every tile geometry; [Simulate] keeps
-    asserting Cost = Interp on every node under the pool. *)
+    The compiled backends report identical statistics and bit-identical
+    outputs; [pool] runs the per-node loops — compute, scatter/gather,
+    halo fill — across a {!Pool} of domains, and the [Lowered] walk
+    additionally blocks each node's subgrid into [tile]-sized tiles
+    (default {!Ccc_cm2.Config.t}[.tile]) so the pool's shared queue
+    schedules (node, tile) items.  Outputs are bit-identical across
+    every backend/inner-loop combination, every jobs value and every
+    tile geometry; [Simulate] keeps asserting Cost = Interp on every
+    node under the pool. *)
 
 type mode = Simulate | Fast
 
@@ -114,31 +118,11 @@ val run :
     are recorded only from the coordinating domain, outside the pooled
     loops. *)
 
-val run_padded :
-  ?obs:Ccc_obs.Obs.t ->
-  ?mode:mode ->
-  ?primitive:Halo.primitive ->
-  ?iterations:int ->
-  ?pool:Pool.t ->
-  ?inner:inner ->
-  Ccc_cm2.Machine.t ->
-  Ccc_compiler.Compile.t ->
-  Reference.env ->
-  result
-(** Like {!run} but accepts array shapes that do not divide evenly
-    over the node grid: the run-time library grows every array with
-    fill rows/columns to the next multiple of the node grid, computes,
-    and crops the result.  Sound for {!Ccc_stencil.Boundary.End_off}
-    patterns, whose taps past the true edge read the fill value either
-    way; a circular pattern would wrap through the padding, so [run]'s
-    divisibility requirement stands and this raises
-    [Invalid_argument]. *)
+(** {1 The transform backend}
 
-(** {1 The transform-domain path (PR 10)}
-
-    The fifth backend: one global circular convolution through
-    {!Fft} instead of per-node strip walking.  Same phase structure
-    and hook seam as {!run} — scatter, halo exchange (["halo"] hook),
+    One global circular convolution through {!Fft} instead of
+    per-node strip walking, as the pipeline's compute stage: the same
+    phases and hook seam as {!run} — scatter, halo exchange (["halo"] hook),
     compute (["compute"] hook, {!hooks.on_compute_node} once per node
     while the global padded frame is assembled from that node's
     exchanged temporaries), gather — so the fault injectors and guards
@@ -212,21 +196,22 @@ val select_backend :
 
 (** {1 Arena-backed execution}
 
-    {!run} allocates and releases every temporary per call — the
-    faithful rendering of one Fortran statement.  A persistent engine
-    ({!Ccc_service.Engine}) instead keeps the machine resident between
-    requests; the arena below holds the standing regions (source and
-    destination subgrids, coefficient streams, the padded halo
-    temporary) so a repeated call of the same shape skips the
-    allocate/release cycle entirely and pays only data movement. *)
+    {!run} runs in a transient arena, allocated and released per call
+    — the faithful rendering of one Fortran statement.  A persistent
+    engine ({!Ccc_service.Engine}) instead keeps the machine resident
+    between requests; the arena below holds the standing regions
+    (source and destination subgrids, coefficient streams, one padded
+    halo temporary per source) so a repeated call of the same shape
+    skips the allocate/release cycle entirely and pays only data
+    movement. *)
 
 module Arena : sig
   type t
   (** Standing per-node regions over one machine.  The node memories
       are bump allocators, so the arena caches exactly one shape
-      profile (subgrid sides, border width, stream count): a matching
-      request reuses every region in place; a different profile frees
-      back to the arena's floor watermark and rebuilds. *)
+      profile (subgrid sides, per-source border widths, stream count):
+      a matching request reuses every region in place; a different
+      profile frees back to the arena's floor watermark and rebuilds. *)
 
   val create : Ccc_cm2.Machine.t -> t
   (** Take the floor watermark at the machine's current allocation
@@ -271,6 +256,11 @@ type batch = { batch_results : result list; batch_stats : Stats.t }
     the whole batch and appear in [batch_stats] (one halo exchange,
     one front-end call, summed compute and dispatch stalls). *)
 
+val check_batch : Ccc_stencil.Pattern.t list -> (unit, string) Stdlib.result
+(** The batch contract, checked without running anything: at least one
+    statement, all naming the same source variable under the same
+    boundary semantics.  [Error] carries the reason. *)
+
 val run_batch_arena :
   ?obs:Ccc_obs.Obs.t ->
   ?mode:mode ->
@@ -292,7 +282,9 @@ val run_batch_arena :
     to the widest statement's border, and corner sections are fetched
     if any statement needs them (sound for the others, which never
     read corners).  [kernels], when given, must carry one pre-verified
-    kernel per statement in order. *)
+    kernel per statement in order.  A batch of one statement is
+    {!run_arena}: the same output bits, and [batch_stats] equal to its
+    statistics. *)
 
 val estimate :
   ?primitive:Halo.primitive ->
@@ -314,8 +306,9 @@ val estimate :
     future-work generalization that handles "all ten terms as one
     stencil pattern".  One halo exchange runs per source array, each
     padded to that source's own border width; everything downstream of
-    communication (strips, half-strips, microcode, statistics) is the
-    shared machinery. *)
+    communication (strips, half-strips, microcode, statistics, the
+    [Simulate] checks) is the shared pipeline, under a [run.fused]
+    root span. *)
 
 val run_fused :
   ?obs:Ccc_obs.Obs.t ->

@@ -20,20 +20,7 @@ type t = {
 let ntaps t = Array.length t.srcs
 let nstreams t = ntaps t + if t.has_bias then 1 else 0
 
-let lower pattern =
-  let taps = Pattern.taps pattern in
-  let n = List.length taps in
-  let srcs = Array.make n 0
-  and drows = Array.make n 0
-  and dcols = Array.make n 0 in
-  List.iteri
-    (fun i (tap : Tap.t) ->
-      drows.(i) <- tap.Tap.offset.Offset.drow;
-      dcols.(i) <- tap.Tap.offset.Offset.dcol)
-    taps;
-  { srcs; drows; dcols; has_bias = Pattern.bias pattern <> None }
-
-let lower_multi multi =
+let lower multi =
   let taps = Multi.taps multi in
   let n = List.length taps in
   let srcs = Array.make n 0
@@ -46,8 +33,6 @@ let lower_multi multi =
       dcols.(i) <- st.Multi.tap.Tap.offset.Offset.dcol)
     taps;
   { srcs; drows; dcols; has_bias = Multi.bias multi <> None }
-
-type source_layout = { base : int; pcols : int; pad : int }
 
 type spec = {
   sub_rows : int;
@@ -70,10 +55,14 @@ type spec = {
 
 let tile_count spec = Array.length spec.tile_row0
 
-let specialize t ?tile ~sub_rows ~sub_cols ~(sources : source_layout array)
-    ~(coeff_bases : int array) ~dst_base ~words () =
+let specialize t ?tile ~sub_rows (b : Interp.bindings) =
+  let sub_cols = b.Interp.dst_cols in
+  let words = Memory.words b.Interp.memory in
   if sub_rows <= 0 || sub_cols <= 0 then
     invalid_arg "Kernel.specialize: non-positive subgrid";
+  let coeff_bases =
+    Array.map (fun (r : Memory.region) -> r.Memory.base) b.Interp.coeffs
+  in
   if Array.length coeff_bases <> nstreams t then
     invalid_arg
       (Printf.sprintf "Kernel.specialize: %d coefficient streams for %d"
@@ -93,14 +82,14 @@ let specialize t ?tile ~sub_rows ~sub_cols ~(sources : source_layout array)
   in
   for i = 0 to n - 1 do
     let src = t.srcs.(i) in
-    if src < 0 || src >= Array.length sources then
+    if src < 0 || src >= Array.length b.Interp.sources then
       invalid_arg "Kernel.specialize: tap source out of range";
-    let layout = sources.(src) in
+    let { Interp.padded; padded_cols; pad } = b.Interp.sources.(src) in
     tap_off.(i) <-
-      layout.base
-      + ((t.drows.(i) + layout.pad) * layout.pcols)
-      + t.dcols.(i) + layout.pad;
-    tap_stride.(i) <- layout.pcols;
+      padded.Memory.base
+      + ((t.drows.(i) + pad) * padded_cols)
+      + t.dcols.(i) + pad;
+    tap_stride.(i) <- padded_cols;
     check_span (Printf.sprintf "tap %d" i) tap_off.(i) tap_stride.(i)
   done;
   let coeff_off = Array.sub coeff_bases 0 n in
@@ -109,6 +98,7 @@ let specialize t ?tile ~sub_rows ~sub_cols ~(sources : source_layout array)
     coeff_off;
   let bias_off = if t.has_bias then coeff_bases.(n) else -1 in
   if t.has_bias then check_span "bias stream" bias_off sub_cols;
+  let dst_base = b.Interp.dst.Memory.base in
   check_span "destination" dst_base sub_cols;
   (* Tile geometry: the requested shape is clamped into
      [1, sub_rows] x [1, sub_cols] (degenerate 1x1 and
@@ -274,13 +264,16 @@ let verify (config : Config.t) (compiled : Compile.t) t =
         done
       done)
     streams;
-  let specialize_with tile =
-    specialize t ?tile ~sub_rows ~sub_cols
-      ~sources:[| { base = padded.Memory.base; pcols; pad } |]
-      ~coeff_bases:(Array.map (fun (r : Memory.region) -> r.Memory.base) coeffs)
-      ~dst_base:dst.Memory.base ~words:(Memory.words mem) ()
+  let bindings =
+    {
+      Interp.memory = mem;
+      sources = [| { Interp.padded; padded_cols = pcols; pad } |];
+      dst;
+      dst_cols = sub_cols;
+      coeffs;
+    }
   in
-  let spec = specialize_with None in
+  let spec = specialize t ~sub_rows bindings in
   exec_node spec (Memory.raw mem);
   let kernel_out = Memory.blit_out mem dst in
   let check_against what actual =
@@ -305,7 +298,9 @@ let verify (config : Config.t) (compiled : Compile.t) t =
      exercises interior tiles, clamped edge tiles and the remainder
      columns — must write the very same bits. *)
   let tiled =
-    specialize_with (Some (max 1 (sub_rows - 1), max 1 (sub_cols - 1)))
+    specialize t
+      ~tile:(max 1 (sub_rows - 1), max 1 (sub_cols - 1))
+      ~sub_rows bindings
   in
   exec_node tiled (Memory.raw mem);
   let tiled_out = Memory.blit_out mem dst in
@@ -325,15 +320,6 @@ let verify (config : Config.t) (compiled : Compile.t) t =
     kernel_out;
   (* Cross-check against the cycle-accurate interpreter over the same
      sandbox bindings. *)
-  let bindings =
-    {
-      Interp.memory = mem;
-      sources = [| { Interp.padded; padded_cols = pcols; pad } |];
-      dst;
-      dst_cols = sub_cols;
-      coeffs;
-    }
-  in
   let strips = Stripmine.strips compiled ~sub_cols in
   List.iter
     (fun (s : Stripmine.strip) ->
@@ -361,7 +347,7 @@ let verify (config : Config.t) (compiled : Compile.t) t =
     kernel_out
 
 let build config compiled =
-  let t = lower compiled.Compile.pattern in
+  let t = lower (Multi.of_pattern compiled.Compile.pattern) in
   verify config compiled t;
   t
 

@@ -32,13 +32,11 @@ type t
 (** A lowered kernel: geometry-independent per-tap displacement
     tables in pattern (= coefficient stream) order. *)
 
-val lower : Ccc_stencil.Pattern.t -> t
-(** Flatten a single-source pattern.  Unverified — the cheap path for
-    one-shot runs; {!build} is the verifying path the engine uses. *)
-
-val lower_multi : Ccc_stencil.Multi.t -> t
-(** Flatten a multi-source pattern (tap [i] reads the padded temporary
-    of its own source). *)
+val lower : Ccc_stencil.Multi.t -> t
+(** Flatten a pattern (tap [i] reads the padded temporary of its own
+    source; a single-source pattern is {!Ccc_stencil.Multi.of_pattern}'s
+    one-source case).  Unverified — the cheap path for one-shot runs;
+    {!build} is the verifying path the engine uses. *)
 
 val ntaps : t -> int
 
@@ -70,10 +68,6 @@ val corrupt : ?seed:int -> t -> t
     wrong data, exactly the failure mode a poisoned plan-cache entry
     would produce.  {!verify} rejects it.  Fault injection only. *)
 
-type source_layout = { base : int; pcols : int; pad : int }
-(** One padded source temporary: base address, row stride, halo
-    width — the same triple as {!Ccc_microcode.Interp.source_binding}. *)
-
 type spec
 (** A kernel specialized to one statement's region layouts: absolute
     offset tables, bounds-validated over the whole sweep, plus the
@@ -81,28 +75,20 @@ type spec
     with clamped edges) that {!exec_tile} executes. *)
 
 val specialize :
-  t ->
-  ?tile:int * int ->
-  sub_rows:int ->
-  sub_cols:int ->
-  sources:source_layout array ->
-  coeff_bases:int array ->
-  dst_base:int ->
-  words:int ->
-  unit ->
-  spec
-(** Resolve the kernel against concrete layouts.  [coeff_bases] are
-    the stream region bases in plan order ({!nstreams} of them);
-    [words] is the node memory size every resolved walk is validated
-    against.  Raises [Invalid_argument] if any walk could escape
-    [0, words) — after which the unchecked accesses of {!exec_tile}
-    and {!exec_node} are safe.  [tile] is the requested (rows, cols)
-    blocking, clamped into [1, sub_rows] x [1, sub_cols] (so
-    degenerate 1x1 tiles and tiles larger than the subgrid are both
-    legal); edge tiles absorb any non-dividing remainder, and the
-    default is one tile covering the whole subgrid.  The per-tile
-    offset tables are precomputed here, so the execution loops divide
-    nothing. *)
+  t -> ?tile:int * int -> sub_rows:int -> Ccc_microcode.Interp.bindings -> spec
+(** Resolve the kernel against concrete layouts: the same bindings the
+    cycle-accurate interpreter runs against — padded source temporaries,
+    destination ([sub_rows] by [dst_cols]) and one coefficient region
+    per stream in plan order ({!nstreams} of them).  Every resolved
+    walk is validated against the bound memory's size; raises
+    [Invalid_argument] if any could escape it — after which the
+    unchecked accesses of {!exec_tile} and {!exec_node} are safe.
+    [tile] is the requested (rows, cols) blocking, clamped into
+    [1, sub_rows] x [1, sub_cols] (so degenerate 1x1 tiles and tiles
+    larger than the subgrid are both legal); edge tiles absorb any
+    non-dividing remainder, and the default is one tile covering the
+    whole subgrid.  The per-tile offset tables are precomputed here, so
+    the execution loops divide nothing. *)
 
 val tile_count : spec -> int
 (** Number of tiles the specialization cut the subgrid into; the valid

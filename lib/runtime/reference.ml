@@ -17,15 +17,11 @@ let coeff_value env coeff r c =
   | Coeff.One -> 1.0
 
 let referenced_arrays pattern =
-  Pattern.source_var pattern
-  :: List.filter_map (fun t -> Coeff.array_name t.Tap.coeff)
-       (Pattern.taps pattern)
-  @ (match Pattern.bias pattern with
-    | Some c -> Option.to_list (Coeff.array_name c)
-    | None -> [])
+  Multi.referenced_arrays (Multi.of_pattern pattern)
 
-let check_env pattern env =
-  let source = lookup env (Pattern.source_var pattern) in
+let check_multi multi env =
+  let first = List.hd (Multi.sources multi) in
+  let source = lookup env first in
   let rows = Grid.rows source and cols = Grid.cols source in
   List.iter
     (fun name ->
@@ -34,28 +30,35 @@ let check_env pattern env =
         raise
           (Shape_mismatch
              (Printf.sprintf "%s is %dx%d but %s is %dx%d" name (Grid.rows g)
-                (Grid.cols g)
-                (Pattern.source_var pattern)
-                rows cols)))
-    (referenced_arrays pattern)
+                (Grid.cols g) first rows cols)))
+    (Multi.referenced_arrays multi)
 
-let apply pattern env =
-  check_env pattern env;
-  let source = lookup env (Pattern.source_var pattern) in
-  let read =
-    match Pattern.boundary pattern with
-    | Boundary.Circular -> Grid.get_circular source
-    | Boundary.End_off fill -> Grid.get_endoff source ~fill
+let check_env pattern env = check_multi (Multi.of_pattern pattern) env
+
+let apply_multi multi env =
+  check_multi multi env;
+  let sources =
+    Array.of_list (List.map (lookup env) (Multi.sources multi))
   in
-  let taps = Pattern.taps pattern in
-  Grid.init ~rows:(Grid.rows source) ~cols:(Grid.cols source) (fun r c ->
+  let read =
+    match Multi.boundary multi with
+    | Boundary.Circular -> fun src r c -> Grid.get_circular sources.(src) r c
+    | Boundary.End_off fill ->
+        fun src r c -> Grid.get_endoff sources.(src) ~fill r c
+  in
+  Grid.init ~rows:(Grid.rows sources.(0)) ~cols:(Grid.cols sources.(0))
+    (fun r c ->
       let sum =
         List.fold_left
-          (fun acc tap ->
-            let { Offset.drow; dcol } = tap.Tap.offset in
-            acc +. (coeff_value env tap.Tap.coeff r c *. read (r + drow) (c + dcol)))
-          0.0 taps
+          (fun acc (st : Multi.source_tap) ->
+            let { Offset.drow; dcol } = st.Multi.tap.Tap.offset in
+            acc
+            +. (coeff_value env st.Multi.tap.Tap.coeff r c
+               *. read st.Multi.source (r + drow) (c + dcol)))
+          0.0 (Multi.taps multi)
       in
-      match Pattern.bias pattern with
+      match Multi.bias multi with
       | Some coeff -> sum +. coeff_value env coeff r c
       | None -> sum)
+
+let apply pattern env = apply_multi (Multi.of_pattern pattern) env

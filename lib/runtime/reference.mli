@@ -22,9 +22,18 @@ val apply : Ccc_stencil.Pattern.t -> env -> Grid.t
     over the whole array, with the pattern's boundary semantics.
     Raises {!Unbound} or {!Shape_mismatch}. *)
 
+val apply_multi : Ccc_stencil.Multi.t -> env -> Grid.t
+(** {!apply} for a multi-source pattern, each tap reading its own
+    source array (a single-source pattern is the one-source case): the
+    oracle for fused execution. *)
+
 val check_env : Ccc_stencil.Pattern.t -> env -> unit
 (** Validate that every array the pattern references is bound and all
     shapes agree. *)
+
+val check_multi : Ccc_stencil.Multi.t -> env -> unit
+(** {!check_env} for a multi-source pattern: every array bound, every
+    shape that of the first source. *)
 
 val referenced_arrays : Ccc_stencil.Pattern.t -> string list
 (** Every array name the pattern reads: the source, the coefficient

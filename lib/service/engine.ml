@@ -153,18 +153,7 @@ type stats = {
 (* One id per engine in the process (see the [eid] field). *)
 let engine_ids = Atomic.make 0
 
-let create ?obs ?flight ?capacity ?jobs ?memory_words ?settings config =
-  let settings =
-    match settings with
-    | Some s -> s
-    | None ->
-        {
-          default_settings with
-          capacity = Option.value capacity ~default:default_settings.capacity;
-          jobs = Option.value jobs ~default:default_settings.jobs;
-          memory_words;
-        }
-  in
+let create ?obs ?flight ?(settings = default_settings) config =
   if settings.capacity < 1 then invalid_arg "Engine.create: capacity < 1";
   if settings.queue_depth < 1 then invalid_arg "Engine.create: queue_depth < 1";
   if settings.tenants < 1 then invalid_arg "Engine.create: tenants < 1";
@@ -459,70 +448,6 @@ let record_fft (t : t) (result : Exec.result) =
   Metrics.Histogram.observe t.fft_per_call
     (float_of_int result.Exec.stats.Stats.compute_cycles)
 
-let rejections_of entry =
-  match entry.compiled with Error r -> r | Ok _ -> []
-
-let run ?mode ?iterations t pattern env =
-  check_owner t "run";
-  let entry = lookup_entry t pattern in
-  let run_compiled (compiled, kernel) =
-    match
-      Exec.run_arena ~obs:t.obs ?mode ?iterations ~pool:t.pool ~kernel
-        ?tile:t.settings.tile t.arena compiled env
-    with
-    | result ->
-        Metrics.Counter.incr t.runs;
-        record t result.Exec.stats;
-        Ok result
-    | exception Exec.Too_small m ->
-        let e = Too_small m in
-        warn_rejection pattern e;
-        Error e
-  in
-  let compiled =
-    match entry.compiled with
-    | Ok (c, k) -> Some (Compile.rebind c pattern, k)
-    | Error _ -> None
-  in
-  let rows, cols = grid_shape pattern env in
-  match select t entry ~rows ~cols with
-  | `Compiled -> (
-      match compiled with
-      | Some ck -> run_compiled ck
-      | None ->
-          let e = Resource_error (rejections_of entry) in
-          warn_rejection pattern e;
-          Error e)
-  | `Fft -> (
-      match fft_plan_for t entry pattern ~rows ~cols env with
-      | plan -> (
-          match
-            Exec.run_fft ~obs:t.obs ?iterations ~pool:t.pool ~plan t.machine
-              pattern env
-          with
-          | result ->
-              record_fft t result;
-              Ok result
-          | exception Exec.Too_small m ->
-              let e = Too_small m in
-              warn_rejection pattern e;
-              Error e)
-      | exception Fft.Varying _ -> (
-          (* Spatially-varying coefficients are not a convolution: the
-             transform path refuses them, so serve the compiled plan
-             when one exists and report the rejection otherwise. *)
-          match compiled with
-          | Some ck -> run_compiled ck
-          | None ->
-              let e = Resource_error (rejections_of entry) in
-              warn_rejection pattern e;
-              Error e))
-
-let run_statement ?mode ?iterations t source env =
-  match recognize_statement source with
-  | Ok pattern -> run ?mode ?iterations t pattern env
-  | Error _ as e -> e
-
 type degraded = Outcome.degraded = {
   output : Ccc_runtime.Grid.t;
   findings : Finding.t list;
@@ -537,38 +462,43 @@ let outcome_of_guarded ~fingerprint = function
   | Ok (Degraded detail) -> Outcome.degraded ~fingerprint detail
   | Error reject -> Outcome.refused ~fingerprint reject
 
-(* The recovery ladder: guarded run -> bounded same-kernel retries
-   (a transient fault leaves nothing behind, so a re-run of the same
-   cached artifacts comes back clean) -> revalidate and recompile the
-   cached plan and kernel (a poisoned cache entry fails its sandbox
-   re-proof and is replaced) -> degrade to the host reference
-   evaluator, which shares nothing with the simulated substrate.  The
-   ladder never lets a detected fault escape as a wrong answer or a
-   crash: the worst case is a slow, correct [Degraded] result. *)
-let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
-    t pattern env =
-  check_owner t "run_guarded";
+(* How far a request trusts the substrate.  [Trust] is the paper's
+   stance — the CM-2's ECC memory and lock-step sequencer are taken on
+   faith, so a run pays no guard cost and anything unexpected escapes
+   as an exception.  [Guard] rides the {!Guard} self-checks on every
+   attempt and climbs the recovery ladder when they fire. *)
+type policy = Trust | Guard of { inject : Exec.hooks; max_retries : int }
+
+(* One execution path a request can be served on: a single attempt
+   under the given hooks, the accounting of a success, and the
+   root-cause rung — re-prove the cached artifacts and rebuild them,
+   returning the fresh path with the diagnosis, or the findings to
+   degrade with when the rebuild itself fails. *)
+type path = {
+  attempt : Exec.hooks -> Exec.result;
+  account : Exec.result -> unit;
+  rebuild : unit -> (path * Finding.t list, Finding.t list) result;
+}
+
+(* The single dispatcher behind {!run} and {!run_guarded}: select the
+   path (compiled, transform, or the compiled fallback when the
+   transform refuses a spatially-varying coefficient), then serve it
+   through the recovery ladder — guarded attempt -> bounded same-path
+   retries (a transient fault leaves nothing behind, so a re-run of the
+   same cached artifacts comes back clean) -> re-prove and rebuild the
+   cached artifacts (a poisoned cache entry fails its sandbox re-proof
+   and is replaced) -> degrade to the host reference evaluator, which
+   shares nothing with the simulated substrate.  Under [Guard] a
+   detected fault never escapes as a wrong answer or a crash: the worst
+   case is a slow, correct [Degraded] result.  Under [Trust] no attempt
+   is ever judged faulty, so the ladder is one attempt. *)
+let dispatch ?mode ?iterations t policy pattern env =
   let entry = lookup_entry t pattern in
-  let compiled_pair =
-    match entry.compiled with
-    | Ok (c, k) -> Some (Compile.rebind c pattern, k)
-    | Error _ -> None
+  let reject e =
+    warn_rejection pattern e;
+    Error e
   in
   let retries = ref 0 in
-  let note_detection fs =
-    Metrics.Counter.incr t.guard_detections;
-    let first_finding =
-      match fs with f :: _ -> Finding.to_string f | [] -> "unknown"
-    in
-    Option.iter
-      (fun ring ->
-        Flight.record ring Flight.Guard_trip
-          (Fingerprint.pattern pattern ^ ": " ^ first_finding))
-      t.flight;
-    Log.warn (fun m ->
-        m "guard detected a fault (%s): %s" (Fingerprint.pattern pattern)
-          first_finding)
-  in
   let degrade findings recompiled =
     Metrics.Counter.incr t.guard_degraded;
     Option.iter
@@ -583,52 +513,84 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
     let output = Reference.apply pattern env in
     Ok (Degraded { output; findings; retries = !retries; recompiled })
   in
-  let guarded run_path =
-    let watch = Guard.watch pattern in
-    let hooks = Exec.compose_hooks inject watch.Guard.hooks in
-    match run_path hooks with
-    | result -> (
-        match
-          !(watch.Guard.caught) @ Guard.check_output pattern env result.Exec.output
-        with
-        | [] -> `Ok result
-        | fs -> `Faulty fs)
-    | exception Exec.Too_small m -> `Too_small m
-    | exception Finding.Failed fs -> `Faulty fs
-    | exception exn ->
-        `Faulty
-          [
-            Finding.makef Finding.Output_integrity "guarded run crashed: %s"
-              (Printexc.to_string exn);
-          ]
+  let note_detection fs =
+    Metrics.Counter.incr t.guard_detections;
+    let first_finding =
+      match fs with f :: _ -> Finding.to_string f | [] -> "unknown"
+    in
+    Option.iter
+      (fun ring ->
+        Flight.record ring Flight.Guard_trip
+          (Fingerprint.pattern pattern ^ ": " ^ first_finding))
+      t.flight;
+    Log.warn (fun m ->
+        m "guard detected a fault (%s): %s" (Fingerprint.pattern pattern)
+          first_finding)
   in
-  let attempt compiled kernel =
-    guarded (fun hooks ->
-        Exec.run_arena ~obs:t.obs ?mode ?iterations ~pool:t.pool ~kernel
-          ?tile:t.settings.tile ~hooks t.arena compiled env)
+  let judge path =
+    match policy with
+    | Trust -> (
+        match path.attempt Exec.no_hooks with
+        | result -> `Ok result
+        | exception Exec.Too_small m -> `Too_small m)
+    | Guard { inject; _ } -> (
+        let watch = Guard.watch pattern in
+        match path.attempt (Exec.compose_hooks inject watch.Guard.hooks) with
+        | result -> (
+            match
+              !(watch.Guard.caught)
+              @ Guard.check_output pattern env result.Exec.output
+            with
+            | [] -> `Ok result
+            | fs -> `Faulty fs)
+        | exception Exec.Too_small m -> `Too_small m
+        | exception Finding.Failed fs -> `Faulty fs
+        | exception exn ->
+            `Faulty
+              [
+                Finding.makef Finding.Output_integrity
+                  "guarded run crashed: %s" (Printexc.to_string exn);
+              ])
   in
-  let rec ladder compiled kernel budget acc recompiled =
-    match attempt compiled kernel with
+  let rec ladder path budget acc rebuilt =
+    match judge path with
     | `Ok result ->
-        Metrics.Counter.incr t.runs;
-        record t result.Exec.stats;
+        path.account result;
         Ok (Completed result)
-    | `Too_small m ->
-        let e = Too_small m in
-        warn_rejection pattern e;
-        Error e
+    | `Too_small m -> reject (Too_small m)
     | `Faulty fs -> (
         note_detection fs;
         let acc = acc @ fs in
         if budget > 0 then begin
           Metrics.Counter.incr t.guard_retries;
           incr retries;
-          ladder compiled kernel (budget - 1) acc recompiled
+          ladder path (budget - 1) acc rebuilt
         end
-        else if not recompiled then begin
-          (* Root-cause the cached artifacts before replacing
-             them: the sandbox re-proof of the kernel and the
-             dataflow verifier over every cached plan. *)
+        else if rebuilt then degrade acc rebuilt
+        else
+          match path.rebuild () with
+          | Ok (fresh, diagnosis) -> ladder fresh 0 (acc @ diagnosis) true
+          | Error findings -> degrade (acc @ findings) rebuilt)
+  in
+  let serve path acc =
+    let budget = match policy with Trust -> 0 | Guard g -> g.max_retries in
+    ladder path budget acc false
+  in
+  let rec compiled_path compiled kernel =
+    {
+      attempt =
+        (fun hooks ->
+          Exec.run_arena ~obs:t.obs ?mode ?iterations ~pool:t.pool ~kernel
+            ?tile:t.settings.tile ~hooks t.arena compiled env);
+      account =
+        (fun result ->
+          Metrics.Counter.incr t.runs;
+          record t result.Exec.stats);
+      rebuild =
+        (fun () ->
+          (* Root-cause the cached artifacts before replacing them: the
+             sandbox re-proof of the kernel and the dataflow verifier
+             over every cached plan. *)
           let diagnosis =
             Guard.check_kernel t.config compiled kernel
             @ Guard.revalidate t.config compiled
@@ -639,7 +601,7 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
             Compile.compile ~obs:t.obs ?widths:t.settings.widths t.config
               pattern
           with
-          | Error _ -> degrade (acc @ diagnosis) recompiled
+          | Error _ -> Error diagnosis
           | Ok fresh ->
               Metrics.Counter.incr t.compiles;
               let fresh_kernel = Kernel.build t.config fresh in
@@ -654,38 +616,21 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
                   last_used = t.tick;
                 };
               Access.write "engine.cache" t.eid;
-              ladder fresh fresh_kernel 0 (acc @ diagnosis) true
-        end
-        else degrade acc recompiled)
+              Ok (compiled_path fresh fresh_kernel, diagnosis));
+    }
   in
-  (* The transform-path ladder mirrors the compiled one rung for rung:
-     bounded same-plan retries, then {!Fft.verify} as the root-cause
-     re-proof of the cached spectrum with a fresh {!Fft.build}
-     replacing it, and finally the same degradation to the host
-     reference evaluator. *)
-  let attempt_fft plan =
-    guarded (fun hooks ->
-        Exec.run_fft ~obs:t.obs ?iterations ~pool:t.pool ~plan ~hooks
-          t.machine pattern env)
-  in
-  let rec fft_ladder ~rows ~cols plan budget acc rebuilt =
-    match attempt_fft plan with
-    | `Ok result ->
-        record_fft t result;
-        Ok (Completed result)
-    | `Too_small m ->
-        let e = Too_small m in
-        warn_rejection pattern e;
-        Error e
-    | `Faulty fs -> (
-        note_detection fs;
-        let acc = acc @ fs in
-        if budget > 0 then begin
-          Metrics.Counter.incr t.guard_retries;
-          incr retries;
-          fft_ladder ~rows ~cols plan (budget - 1) acc rebuilt
-        end
-        else if not rebuilt then begin
+  (* The transform path's rungs mirror the compiled ones: {!Fft.verify}
+     is the root-cause re-proof of the cached spectrum, and a fresh
+     {!Fft.build} replaces it. *)
+  let rec fft_path ~rows ~cols plan =
+    {
+      attempt =
+        (fun hooks ->
+          Exec.run_fft ~obs:t.obs ?iterations ~pool:t.pool ~plan ~hooks
+            t.machine pattern env);
+      account = (fun result -> record_fft t result);
+      rebuild =
+        (fun () ->
           let diagnosis =
             match Fft.verify pattern plan with
             | () -> []
@@ -697,96 +642,80 @@ let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
               Metrics.Counter.incr t.fft_builds;
               entry.fft <- Some (Reference.referenced_arrays pattern, fresh);
               Access.write "engine.cache" t.eid;
-              fft_ladder ~rows ~cols fresh 0 (acc @ diagnosis) true
-          | exception Finding.Failed fs2 ->
-              degrade (acc @ diagnosis @ fs2) rebuilt
-        end
-        else degrade acc rebuilt)
+              Ok (fft_path ~rows ~cols fresh, diagnosis)
+          | exception Finding.Failed fs -> Error (diagnosis @ fs));
+    }
   in
-  let dispatch () =
-    let rows, cols = grid_shape pattern env in
-    match select t entry ~rows ~cols with
-    | `Compiled -> (
-        match compiled_pair with
-        | Some (c, k) -> ladder c k max_retries [] false
-        | None ->
-            let e = Resource_error (rejections_of entry) in
-            warn_rejection pattern e;
-            Error e)
-    | `Fft -> (
-        match fft_plan_for t entry pattern ~rows ~cols env with
-        | plan -> fft_ladder ~rows ~cols plan max_retries [] false
-        | exception Fft.Varying _ -> (
-            match compiled_pair with
-            | Some (c, k) -> ladder c k max_retries [] false
-            | None ->
-                let e = Resource_error (rejections_of entry) in
-                warn_rejection pattern e;
-                Error e)
-        | exception Finding.Failed fs ->
-            (* The fresh plan failed its own sandbox proof: fall back
-               to the compiled plan when one exists, else the guarded
-               contract still holds — degrade, never crash. *)
-            (match compiled_pair with
-            | Some (c, k) -> ladder c k max_retries fs false
-            | None ->
-                Metrics.Counter.incr t.guard_detections;
-                degrade fs false))
+  let compiled_or_reject acc =
+    match entry.compiled with
+    | Ok (c, k) -> serve (compiled_path (Compile.rebind c pattern) k) acc
+    | Error rejections -> reject (Resource_error rejections)
   in
-  match dispatch () with
+  let guarded = match policy with Guard _ -> true | Trust -> false in
+  let rows, cols = grid_shape pattern env in
+  match select t entry ~rows ~cols with
+  | `Compiled -> compiled_or_reject []
+  | `Fft -> (
+      match fft_plan_for t entry pattern ~rows ~cols env with
+      | plan -> serve (fft_path ~rows ~cols plan) []
+      | exception Fft.Varying _ ->
+          (* Spatially-varying coefficients are not a convolution: the
+             transform path refuses them, so serve the compiled plan
+             when one exists and report the rejection otherwise. *)
+          compiled_or_reject []
+      | exception Finding.Failed fs when guarded -> (
+          (* The fresh plan failed its own sandbox proof: fall back to
+             the compiled plan when one exists, else the guarded
+             contract still holds — degrade, never crash. *)
+          match entry.compiled with
+          | Ok _ -> compiled_or_reject fs
+          | Error _ ->
+              Metrics.Counter.incr t.guard_detections;
+              degrade fs false))
+
+let run ?mode ?iterations t pattern env =
+  check_owner t "run";
+  Result.map
+    (function
+      | Completed result -> result
+      | Degraded _ -> assert false (* the trusting policy never degrades *))
+    (dispatch ?mode ?iterations t Trust pattern env)
+
+let run_guarded ?mode ?iterations ?(inject = Exec.no_hooks) ?(max_retries = 2)
+    t pattern env =
+  check_owner t "run_guarded";
+  match
+    dispatch ?mode ?iterations t (Guard { inject; max_retries }) pattern env
+  with
   | exception Reference.Unbound name ->
       Error (Parse_error (Printf.sprintf "unbound array %s" name))
   | r -> r
 
-let check_batch patterns =
-  match patterns with
-  | [] -> Error (Invalid_batch "a batch needs at least one statement")
-  | first :: rest ->
-      let source_var = Pattern.source_var first in
-      let boundary = Pattern.boundary first in
-      let rec check = function
-        | [] -> Ok ()
-        | p :: rest ->
-            if Pattern.source_var p <> source_var then
-              Error
-                (Invalid_batch
-                   (Printf.sprintf
-                      "statements read %s and %s; a batch shares one source \
-                       array behind one halo exchange"
-                      source_var (Pattern.source_var p)))
-            else if not (Boundary.equal (Pattern.boundary p) boundary) then
-              Error
-                (Invalid_batch
-                   "statements mix boundary semantics; a batch shares one \
-                    halo exchange")
-            else check rest
-      in
-      check rest
-
 let run_batch ?mode t patterns env =
   check_owner t "run_batch";
-  match check_batch patterns with
+  let compile_all () =
+    List.fold_left
+      (fun acc p ->
+        Result.bind acc (fun pairs ->
+            Result.map (fun pair -> pair :: pairs) (compile_entry t p)))
+      (Ok []) patterns
+    |> Result.map List.rev
+  in
+  match Result.map_error (fun m -> Invalid_batch m) (Exec.check_batch patterns)
+  with
   | Error e ->
       (match patterns with
       | p :: _ -> warn_rejection p e
       | [] -> Log.warn (fun m -> m "empty batch rejected"));
       Error e
   | Ok () -> (
-      let rec compile_all acc = function
-        | [] -> Ok (List.rev acc)
-        | p :: rest -> (
-            match compile_entry t p with
-            | Ok pair -> compile_all (pair :: acc) rest
-            | Error _ as e -> e)
-      in
-      match compile_all [] patterns with
+      match compile_all () with
       | Error _ as e -> e
       | Ok pairs -> (
-          let compileds = List.map fst pairs in
-          let kernels = List.map snd pairs in
           match
-            Exec.run_batch_arena ~obs:t.obs ?mode ~pool:t.pool ~kernels
-              ?tile:t.settings.tile t.arena compileds env
+            Exec.run_batch_arena ~obs:t.obs ?mode ~pool:t.pool
+              ~kernels:(List.map snd pairs) ?tile:t.settings.tile t.arena
+              (List.map fst pairs) env
           with
           | batch ->
               Metrics.Counter.incr t.batches;
@@ -796,18 +725,6 @@ let run_batch ?mode t patterns env =
               let e = Too_small m in
               warn_rejection (List.hd patterns) e;
               Error e))
-
-let run_batch_statements ?mode t sources env =
-  let rec recognize_all acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest -> (
-        match recognize_statement s with
-        | Ok pattern -> recognize_all (pattern :: acc) rest
-        | Error _ as e -> e)
-  in
-  match recognize_all [] sources with
-  | Ok patterns -> run_batch ?mode t patterns env
-  | Error _ as e -> e
 
 let reset t =
   check_owner t "reset";

@@ -90,9 +90,6 @@ val default_settings : settings
 val create :
   ?obs:Ccc_obs.Obs.t ->
   ?flight:Ccc_obs.Flight.t ->
-  ?capacity:int ->
-  ?jobs:int ->
-  ?memory_words:int ->
   ?settings:settings ->
   Ccc_cm2.Config.t ->
   t
@@ -102,10 +99,8 @@ val create :
     spawned once here and threaded through every pooled per-node loop
     of every run — outputs and statistics are bit-identical for every
     jobs value.  Configuration arrives as the labeled [settings]
-    record ({!default_settings} with [{ default_settings with ... }]
-    overrides); the positional [?capacity]/[?jobs]/[?memory_words]
-    optionals are deprecated spellings kept for existing callers and
-    are ignored when [settings] is passed.  [obs] supplies the
+    record (default {!default_settings}; override with
+    [{ default_settings with ... }]).  [obs] supplies the
     observability context the engine threads through every compile and
     run; by default the tracer is disabled and the engine keeps a
     private metrics registry.  [flight] attaches a
@@ -214,14 +209,6 @@ val run :
     and the engine falls back to the compiled plan when one exists,
     [Error (Resource_error _)] otherwise. *)
 
-val run_statement :
-  ?mode:Ccc_runtime.Exec.mode ->
-  ?iterations:int ->
-  t ->
-  string ->
-  Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.result, error) result
-
 (** {1 Guarded execution}
 
     {!run} trusts the substrate the way the paper trusted the CM-2's
@@ -284,13 +271,15 @@ val run_guarded :
     one halo recomputation and one reference evaluation per call and
     always returns [Completed].
 
+    {!run} and this function are one dispatcher and one ladder under
+    two policies ({!run} trusts the substrate and pays no guard cost).
     When the backend policy routes a request to the transform path,
-    the ladder is mirrored rung for rung: bounded same-plan retries,
-    then {!Ccc_runtime.Fft.verify} as the root-cause re-proof of the
-    cached spectrum (a corrupted plan fails it and is replaced by a
-    fresh {!Ccc_runtime.Fft.build}, counted under
-    [engine.guard.recompiles] and [engine.fft.builds]), and finally
-    the same degradation to the host reference evaluator. *)
+    the same ladder climbs with the transform's rungs: bounded
+    same-plan retries, then {!Ccc_runtime.Fft.verify} as the
+    root-cause re-proof of the cached spectrum (a corrupted plan fails
+    it and is replaced by a fresh {!Ccc_runtime.Fft.build}, counted
+    under [engine.guard.recompiles] and [engine.fft.builds]), and
+    finally the same degradation to the host reference evaluator. *)
 
 val run_batch :
   ?mode:Ccc_runtime.Exec.mode ->
@@ -303,13 +292,6 @@ val run_batch :
     {!Ccc_runtime.Exec.run_batch_arena} for the aggregate-statistics
     contract.  All statements must name the same source variable and
     boundary semantics ([Error (Invalid_batch _)] otherwise). *)
-
-val run_batch_statements :
-  ?mode:Ccc_runtime.Exec.mode ->
-  t ->
-  string list ->
-  Ccc_runtime.Reference.env ->
-  (Ccc_runtime.Exec.batch, error) result
 
 (** {1 Counters} *)
 

@@ -378,7 +378,11 @@ let test_live_engine_batch_clean () =
   in
   (* The resident workers predate enabling: they inherit their edges
      through the instrumented pool mutex (see Access's doc). *)
-  let engine = Ccc.Engine.create ~jobs:3 config in
+  let engine =
+    Ccc.Engine.create
+      ~settings:{ Ccc.Engine.default_settings with jobs = 3 }
+      config
+  in
   Fun.protect ~finally:(fun () -> Ccc.Engine.shutdown engine) @@ fun () ->
   Access.enable ();
   (match Ccc.Engine.run_batch ~mode:Ccc.Exec.Simulate engine patterns env with

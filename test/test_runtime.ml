@@ -380,50 +380,6 @@ let test_exec_releases_memory () =
   check_int "all temporaries released" free_before
     (Memory.words_free (Machine.memory m 0))
 
-let eoshift_cross () =
-  Ccc_stencil.Pattern.create ~boundary:(Boundary.End_off 0.5)
-    [
-      Ccc_stencil.Tap.make
-        (Ccc_stencil.Offset.make ~drow:(-1) ~dcol:0)
-        (Ccc_stencil.Coeff.Array "C1");
-      Ccc_stencil.Tap.make Ccc_stencil.Offset.zero (Ccc_stencil.Coeff.Array "C2");
-      Ccc_stencil.Tap.make
-        (Ccc_stencil.Offset.make ~drow:1 ~dcol:1)
-        (Ccc_stencil.Coeff.Array "C3");
-    ]
-
-let test_run_padded_ragged_shape () =
-  (* A 13x19 array does not divide over the 4x4 node grid; the padded
-     path must still produce exactly the reference result. *)
-  let pattern = eoshift_cross () in
-  let compiled = Tutil.compile_exn pattern in
-  let env = Tutil.env_for ~rows:13 ~cols:19 pattern in
-  let expected = Ccc.Reference.apply pattern env in
-  let m = machine () in
-  let { Exec.output; _ } = Exec.run_padded m compiled env in
-  check_int "rows preserved" 13 (Grid.rows output);
-  check_int "cols preserved" 19 (Grid.cols output);
-  check_float "matches reference" 0.0 (Grid.max_abs_diff expected output)
-
-let test_run_padded_even_shape_delegates () =
-  let pattern = eoshift_cross () in
-  let compiled = Tutil.compile_exn pattern in
-  let env = Tutil.env_for ~rows:16 ~cols:16 pattern in
-  let m = machine () in
-  let direct = Exec.run m compiled env in
-  let padded = Exec.run_padded m compiled env in
-  check_float "identical" 0.0
-    (Grid.max_abs_diff direct.Exec.output padded.Exec.output)
-
-let test_run_padded_rejects_circular () =
-  let pattern = Pattern.cross5 () in
-  let compiled = Tutil.compile_exn pattern in
-  let env = Tutil.env_for ~rows:13 ~cols:16 pattern in
-  let m = machine () in
-  match Exec.run_padded m compiled env with
-  | _ -> Alcotest.fail "circular + padding must be rejected"
-  | exception Invalid_argument _ -> ()
-
 let test_estimate_matches_run () =
   let compiled = Tutil.compile_exn (Pattern.square9 ()) in
   let env = Tutil.env_for ~rows:(4 * 11) ~cols:(4 * 13) (Pattern.square9 ()) in
@@ -492,11 +448,6 @@ let () =
           tc "iterations scale stats, not data"
             test_exec_iterations_scale_stats_not_data;
           tc "releases machine memory" test_exec_releases_memory;
-          tc "ragged shapes via run_padded" test_run_padded_ragged_shape;
-          tc "run_padded delegates on even shapes"
-            test_run_padded_even_shape_delegates;
-          tc "run_padded rejects circular patterns"
-            test_run_padded_rejects_circular;
           tc "estimate matches run" test_estimate_matches_run;
         ] );
     ]

@@ -235,10 +235,18 @@ let prop_engine_matches_one_shot =
       match Engine.run engine p env with
       | Error (Engine.Resource_error _) -> true (* nothing compiles *)
       | Error e -> Q.Test.fail_report (Engine.error_to_string e)
-      | Ok { Exec.output; stats } ->
+      | Ok { Exec.output; stats } -> (
           let one = Ccc.apply config (compile_exn p) env in
-          Grid.max_abs_diff one.Exec.output output = 0.0
-          && one.Exec.stats = stats)
+          (* A statement is a batch of one: same bits, same stats. *)
+          match Engine.run_batch engine [ p ] env with
+          | Error e -> Q.Test.fail_report (Engine.error_to_string e)
+          | Ok { Exec.batch_results; batch_stats } ->
+              Grid.max_abs_diff one.Exec.output output = 0.0
+              && one.Exec.stats = stats
+              && (match batch_results with
+                 | [ r ] -> Grid.max_abs_diff one.Exec.output r.Exec.output = 0.0
+                 | _ -> false)
+              && one.Exec.stats = batch_stats))
 
 let test_engine_warm_counters () =
   let engine = Engine.create config in
@@ -292,7 +300,9 @@ let test_rebound_plans_verify_clean () =
   Alcotest.(check int) "still one compile" 1 s.Engine.compiles
 
 let test_eviction () =
-  let engine = Engine.create ~capacity:2 config in
+  let engine =
+    Engine.create ~settings:{ Engine.default_settings with capacity = 2 } config
+  in
   let p1 = cross5 () in
   let p2 = pattern_of_offsets [ (0, -1); (0, 0); (0, 1) ] in
   let p3 = pattern_of_offsets [ (-1, 0); (0, 0); (1, 0) ] in
@@ -318,7 +328,9 @@ let test_eviction_rebind_verifies () =
      never served stale.  A rebind hit, by contrast, reuses the cached
      kernel without a re-proof (renames never move tap offsets).
      Pinned via the engine.kernel.verifies counter. *)
-  let engine = Engine.create ~capacity:2 config in
+  let engine =
+    Engine.create ~settings:{ Engine.default_settings with capacity = 2 } config
+  in
   let verifies () =
     Ccc.Metrics.Counter.value
       (Ccc.Metrics.counter (Engine.metrics engine) "engine.kernel.verifies")
